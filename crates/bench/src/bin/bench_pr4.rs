@@ -6,10 +6,11 @@
 //! c …)` constructors, computed worker counts) — all barriers under PR 3's
 //! syntactic inert-operand rule, so they paid one full postbox rendezvous
 //! per command — now coalesce into pipelined multi-section runs. The
-//! headline `effects_speedup_vs_syntactic` compares `submit_batch` under
-//! [`BatchClassifier::EffectAnalysis`] against the identical stream under
-//! the retained [`BatchClassifier::SyntacticInert`] baseline and must be
-//! ≥ 2× (asserted, with zero warm interpreter clones). Also records the
+//! headline `effects_speedup_vs_syntactic` compares `submit_batch` over
+//! the stream against a `submit` loop over the identical stream — the
+//! path every one of these commands took when the syntactic rule
+//! barriered it, minus a ~110 ns classify — and must be ≥ 2× (asserted,
+//! with zero warm interpreter clones). Also records the
 //! classifier's own cost per verdict and the simulated-GPU command-buffer
 //! batching win (deterministic modeled transfer nanoseconds, same
 //! effect-analysis rule).
@@ -27,7 +28,7 @@
 
 use culi_bench::jsonout::{Json, JsonValue, ToJson};
 use culi_core::{effects, InterpConfig};
-use culi_runtime::{BatchClassifier, CpuMode, CpuRepl, CpuReplConfig, GpuRepl, GpuReplConfig};
+use culi_runtime::{CpuMode, CpuRepl, CpuReplConfig, GpuRepl, GpuReplConfig};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -77,7 +78,7 @@ fn measure<O>(samples: usize, mut f: impl FnMut() -> O) -> f64 {
 const BATCH_LEN: usize = 32;
 const PRELUDE: &[&str] = &["(setq c 3)", "(defun sq (x) (* x x))"];
 
-fn threaded(threads: usize, classifier: BatchClassifier) -> CpuRepl {
+fn threaded(threads: usize) -> CpuRepl {
     let mut repl = CpuRepl::launch(
         culi_gpu_sim::device::intel_e5_2620(),
         CpuReplConfig {
@@ -86,7 +87,6 @@ fn threaded(threads: usize, classifier: BatchClassifier) -> CpuRepl {
                 ..Default::default()
             },
             mode: CpuMode::Threaded { threads },
-            batch_classifier: classifier,
             ..Default::default()
         },
     );
@@ -96,17 +96,22 @@ fn threaded(threads: usize, classifier: BatchClassifier) -> CpuRepl {
     repl
 }
 
-/// Median per-command ns of a warm `submit_batch` over `BATCH_LEN` copies
-/// of `section` under each classifier. The syntactic baseline barriers
-/// every computed-operand command (degenerating to the synchronous
-/// rendezvous path); the effect analysis pipelines them.
-fn classifier_pair(threads: usize, section: &str, samples: usize) -> (f64, f64) {
+/// Median per-command ns of a warm `submit` loop and of a warm
+/// `submit_batch` over `BATCH_LEN` copies of `section`. The loop pays one
+/// synchronous rendezvous per command — what the syntactic rule's
+/// barriers degenerated to for every computed-operand command; the effect
+/// analysis pipelines them.
+fn loop_vs_batch(threads: usize, section: &str, samples: usize) -> (f64, f64) {
     let batch: Vec<&str> = vec![section; BATCH_LEN];
-    let mut syntactic = threaded(threads, BatchClassifier::SyntacticInert);
-    syntactic.submit_batch(&batch).unwrap();
-    let barriered = measure(samples, || syntactic.submit_batch(&batch).unwrap()) / BATCH_LEN as f64;
+    let mut looped = threaded(threads);
+    looped.submit(section).unwrap();
+    let barriered = measure(samples, || {
+        for s in &batch {
+            black_box(looped.submit(s).unwrap());
+        }
+    }) / BATCH_LEN as f64;
 
-    let mut analyzed = threaded(threads, BatchClassifier::EffectAnalysis);
+    let mut analyzed = threaded(threads);
     analyzed.submit_batch(&batch).unwrap();
     let pipelined = measure(samples, || analyzed.submit_batch(&batch).unwrap()) / BATCH_LEN as f64;
     (barriered, pipelined)
@@ -124,7 +129,7 @@ fn run_benchmarks(rows: &mut Vec<BenchRow>, samples: usize) -> Metrics {
     // Headline: a `(list …)` operand reading a global — the canonical
     // previously-barriered shape.
     let section_list = "(||| 8 + (1 2 3 4 5 6 7 8) (list c c c c c c c c))";
-    let (barriered, pipelined) = classifier_pair(8, section_list, samples);
+    let (barriered, pipelined) = loop_vs_batch(8, section_list, samples);
     rows.push(BenchRow {
         name: "effects/syntactic_barrier_per_command_8w_list_operand".into(),
         median_ns: barriered,
@@ -139,7 +144,7 @@ fn run_benchmarks(rows: &mut Vec<BenchRow>, samples: usize) -> Metrics {
 
     // Computed worker count, the other previously-barriered shape.
     let section_count = "(||| (+ 4 4) sq (1 2 3 4 5 6 7 8))";
-    let (b_count, p_count) = classifier_pair(8, section_count, samples);
+    let (b_count, p_count) = loop_vs_batch(8, section_count, samples);
     rows.push(BenchRow {
         name: "effects/syntactic_barrier_per_command_computed_count".into(),
         median_ns: b_count,
@@ -173,7 +178,7 @@ fn run_benchmarks(rows: &mut Vec<BenchRow>, samples: usize) -> Metrics {
 
     // Zero-clone acceptance over warm computed-operand batches.
     let warm_clones = {
-        let mut repl = threaded(8, BatchClassifier::EffectAnalysis);
+        let mut repl = threaded(8);
         let batch: Vec<&str> = [section_list, section_count]
             .into_iter()
             .cycle()

@@ -284,48 +284,6 @@ impl Interp {
         })
     }
 
-    /// Deep-copies a node tree from another interpreter instance into this
-    /// one, re-interning text and preserving structure. Used by the
-    /// real-threads CPU backend: workers evaluate in forked instances and
-    /// their results are imported back (the forks share builtin registry
-    /// order, so `Builtin` payloads transfer unchanged).
-    pub fn import_tree(&mut self, src: &Interp, node: NodeId) -> Result<NodeId> {
-        let n = *src.arena.get(node);
-        let payload = match n.payload {
-            crate::node::Payload::Text(sid) => {
-                let text = src.strings.get(sid).to_vec();
-                crate::node::Payload::Text(self.strings.intern(&text))
-            }
-            crate::node::Payload::List { first, .. } => {
-                let list = self.alloc(Node::new(
-                    n.ty,
-                    crate::node::Payload::List {
-                        first: None,
-                        last: None,
-                    },
-                ))?;
-                let mut cur = first;
-                while let Some(child) = cur {
-                    let copied = self.import_tree(src, child)?;
-                    self.arena.list_append(list, copied);
-                    cur = src.arena.get(child).next;
-                }
-                return Ok(list);
-            }
-            crate::node::Payload::Form { params, body } => {
-                let params = self.import_tree(src, params)?;
-                let body = self.import_tree(src, body)?;
-                crate::node::Payload::Form { params, body }
-            }
-            other => other,
-        };
-        self.alloc(Node {
-            ty: n.ty,
-            payload,
-            next: None,
-        })
-    }
-
     /// Looks `name` up in the global environment without charging lookup
     /// costs (diagnostics/tests).
     pub fn lookup_global(&mut self, name: &[u8]) -> Option<NodeId> {

@@ -7,10 +7,11 @@
 //! [`culi_core::structhash::StructKey`] of the parsed trees (never on
 //! `NodeId`s, which differ on every re-parse):
 //!
-//! 1. **Verdict tier** — the [`crate::BatchClassifier`] outcome
-//!    (stageable or barrier) per command shape. The classifier resolves
-//!    head symbols against the live global environment, so the key also
-//!    carries a **classifier fingerprint**: a fold over the env
+//! 1. **Verdict tier** — the effect analysis' staging verdict
+//!    ([`culi_core::effects::stageable_parallel_section`]: stageable or
+//!    barrier) per command shape. The analysis resolves head symbols
+//!    against the live global environment, so the key also carries a
+//!    **classifier fingerprint**: a fold over the env
 //!    sync-epoch log's records (symbol bytes + structural hash of the
 //!    bound value). Two interpreters with the same mutation history —
 //!    e.g. tenants that ran the same prelude — produce the same
@@ -351,15 +352,10 @@ impl FingerprintTracker {
     }
 
     /// The fingerprint for the interpreter's current environment state,
-    /// folding any sync records logged since the last call.
-    /// `classifier_tag` discriminates classifier flavours whose verdicts
-    /// must not share entries. `None` once poisoned (callers fall back
-    /// to uncached classification, which is always sound).
-    pub(crate) fn fingerprint(
-        &mut self,
-        interp: &culi_core::Interp,
-        classifier_tag: u8,
-    ) -> Option<u64> {
+    /// folding any sync records logged since the last call. `None` once
+    /// poisoned (callers fall back to uncached classification, which is
+    /// always sound).
+    pub(crate) fn fingerprint(&mut self, interp: &culi_core::Interp) -> Option<u64> {
         if self.poisoned {
             return None;
         }
@@ -383,7 +379,7 @@ impl FingerprintTracker {
             self.hash = h;
         }
         self.epoch = interp.envs.sync_epoch();
-        Some(Self::fold(self.hash, &[classifier_tag]))
+        Some(self.hash)
     }
 }
 

@@ -1,105 +1,59 @@
 //! The CPU read–eval–print loops (the paper's comparison systems).
 //!
-//! Three backends share one type:
+//! Two modes share one type, and the same command `Pipeline` as the GPU
+//! session:
 //!
-//! * **Modeled** — the same staged pipeline as the GPU session, but timed
-//!   by a [`CpuMachine`] (list-scheduled pthread workers, no warps, no
-//!   postbox spinning). This is the backend behind the CPU series of
+//! * **Modeled** — jobs evaluate on the master and a [`CpuMachine`]
+//!   (list-scheduled pthread workers, no warps, no postbox spinning)
+//!   times them. This is the backend behind the CPU series of
 //!   Figs. 14–18.
 //! * **Threaded** — `|||` sections really run on OS threads: a
 //!   persistent [`ThreadedHook`] worker pool (see [`crate::pool`]) keeps
 //!   warm interpreter forks alive across sections and commands,
 //!   synchronizing them incrementally through the flat postbox codec.
-//!   This backend proves the interpreter's parallel semantics on real
-//!   hardware and reports wall-clock time. [`CpuRepl::submit_batch`]
-//!   additionally *pipelines* a command stream through the pool's
-//!   double-buffered postboxes (see below).
-//! * **ForkPerSection** — PR 1's clone-the-interpreter baseline
-//!   ([`ForkPerSectionHook`]), retained for benchmarks and as a semantic
-//!   reference in the cross-backend differential harness.
+//!   This mode proves the interpreter's parallel semantics on real
+//!   hardware. [`CpuRepl::submit_batch`] additionally *pipelines* a
+//!   command stream through the pool's double-buffered postboxes.
 //!
 //! # Pipelined command batches
 //!
 //! A synchronous `submit` pays one full postbox rendezvous per `|||`
-//! section: encode, wake every worker, sleep until every reply. When the
-//! caller hands over a whole command *stream*, most of that latency can
-//! be overlapped: [`CpuRepl::submit_batch`] routes the stream through the
-//! shared [`crate::scheduler::BatchScheduler`], with this type
-//! implementing the [`ExecQueue`] staging hooks. A command is stageable
-//! when it is a top-level `(||| …)` whose operands are all provably
-//! **pure** under the conservative effect analysis in
-//! [`culi_core::effects`] — literals, symbol reads, and known-pure-builtin
-//! trees such as `(list g g)`, computed worker counts, or conditionals
-//! over globals; the section is prepared into the pool's double buffers
-//! and the scheduler moves straight on to parsing and staging the next
-//! command, collecting replies in order as the pipeline fills. Any other
-//! command — defines, `setq`s, operands invoking user forms or I/O,
-//! parse errors — acts as a barrier: the scheduler drains the pipeline,
-//! then the command runs through the ordinary synchronous path. Staging a
-//! pure-operand section early is invisible because nothing in flight can
-//! mutate the state its operands read. Observable behaviour (replies,
-//! error text, per-command [`CommandCounters`]) is identical to a
-//! `submit` loop; the equivalence is property-tested and the staging path
-//! reuses [`culi_core::builtins::prepare_section`] plus a charge-exact
-//! mirror of the evaluator's dispatch so the meter cannot drift (the
-//! classifier itself is charge-free). PR 3's purely syntactic
-//! inert-operand rule is retained as [`BatchClassifier::SyntacticInert`]
-//! for benchmarks (`bench_pr4` measures the breadth win against it).
-//!
-//! The fork-per-section baseline implements the same queue: its
-//! `dispatch` simply executes each staged section through
-//! [`ForkPerSectionHook`] on the spot (pipeline depth 1 — there is no
-//! worker state to overlap with), which keeps the baseline's batched
-//! replies charge-identical to its `submit` loop while sharing every line
-//! of classify/stage/drain logic with the pooled backend.
+//! section. [`CpuRepl::submit_batch`] instead routes the stream through
+//! the shared [`crate::scheduler::BatchScheduler`], with this type
+//! implementing the [`ExecQueue`] staging hooks. The pipeline's classify
+//! step parses each command once and stages a top-level `(||| …)` whose
+//! operands the conservative effect analysis ([`culi_core::effects`])
+//! proves pure: its section is prepared through the evaluator's own
+//! dispatch charges ([`culi_core::builtins::prepare_section`]) into the
+//! pool's double buffers while earlier sections still run. Any other
+//! command — defines, `setq`s, operands invoking user forms or I/O, parse
+//! errors — is a barrier: the scheduler drains the pipeline, then the
+//! command runs like a `submit`. Replies, error text and per-command
+//! [`crate::CommandCounters`] are identical to a `submit` loop; the
+//! equivalence is property-tested.
 
-use crate::cache::{CommandCache, FingerprintTracker, ReplyTicket};
 use crate::error::{Result, RuntimeError};
-use crate::phases::{breakdown, counters_to_cycles, CommandCounters};
-use crate::pool::{ForkPerSectionHook, ThreadedHook, WorkerPool};
+use crate::phases::{counters_to_cycles, CommandCounters};
+use crate::pipeline::{Command, Evaluated, Modeled, Pipeline, Pooled, Reference};
+use crate::pool::{ThreadedHook, WorkerPool};
 use crate::reply::Reply;
 use crate::scheduler::{BatchScheduler, ExecQueue, Verdict};
 use culi_core::cost::Counters;
-use culi_core::eval::{eval, ParallelHook};
 use culi_core::fault::FaultPlan;
-use culi_core::node::{NodeType, Payload};
-use culi_core::structhash::StructKey;
-use culi_core::{CuliError, ErrorCode, Interp, InterpConfig, NodeId};
-use culi_gpu_sim::{CpuMachine, DeviceSpec, SectionReport, SimError};
-use std::collections::HashMap;
-use std::time::Duration;
+use culi_core::{ErrorCode, InterpConfig, NodeId};
+use culi_gpu_sim::{CpuMachine, DeviceSpec};
+use std::time::{Duration, Instant};
 
 /// How `|||` sections execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CpuMode {
     /// Deterministic cost-model timing (figures).
     Modeled,
-    /// Real scoped OS threads (functional parallelism; wall-clock timing).
+    /// Real OS threads over a persistent worker pool.
     Threaded {
         /// Worker thread count.
         threads: usize,
     },
-    /// PR 1's whole-interpreter-clone-per-section baseline.
-    ForkPerSection {
-        /// Worker thread count.
-        threads: usize,
-    },
-}
-
-/// How [`CpuRepl::submit_batch`] decides whether a command's `|||`
-/// section may be staged into the pipeline or must barrier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchClassifier {
-    /// Conservative side-effect analysis over the parse tree
-    /// ([`culi_core::effects`]): operands may be arbitrary trees of
-    /// known-pure builtins, so `(||| n f (list …))` and computed worker
-    /// counts pipeline too.
-    #[default]
-    EffectAnalysis,
-    /// PR 3's syntactic rule — only atoms, symbols and literal lists are
-    /// stageable operands; any nested expression barriers. Retained as
-    /// the benchmark baseline (`bench_pr4`).
-    SyntacticInert,
 }
 
 /// Configuration for a CPU session.
@@ -113,8 +67,6 @@ pub struct CpuReplConfig {
     pub gc_between_commands: bool,
     /// Host-side file services exposed to device code.
     pub host_io: Option<culi_core::hostio::HostIoHandle>,
-    /// Batch staging rule (see [`BatchClassifier`]).
-    pub batch_classifier: BatchClassifier,
     /// Worker-pool watchdog: how long one reply take may block before
     /// the seat is declared hung and detached (Threaded mode).
     pub reply_deadline: Duration,
@@ -126,7 +78,7 @@ pub struct CpuReplConfig {
     /// template and reply tiers for [`CpuRepl::submit_batch`] streams.
     /// Replies served from cache are bit-identical to the uncached run
     /// (the differential harness runs a cache-on arm).
-    pub cache: Option<CommandCache>,
+    pub cache: Option<crate::CommandCache>,
 }
 
 impl Default for CpuReplConfig {
@@ -136,7 +88,6 @@ impl Default for CpuReplConfig {
             mode: CpuMode::Modeled,
             gc_between_commands: true,
             host_io: None,
-            batch_classifier: BatchClassifier::default(),
             reply_deadline: WorkerPool::DEFAULT_REPLY_DEADLINE,
             fault_plan: FaultPlan::none(),
             cache: None,
@@ -147,50 +98,13 @@ impl Default for CpuReplConfig {
 /// A live CuLi session on a (modeled or real) CPU.
 #[derive(Debug)]
 pub struct CpuRepl {
-    interp: Interp,
+    pipe: Pipeline,
     machine: CpuMachine,
-    config: CpuReplConfig,
-    /// Persistent real-threads backend (Threaded mode only; the worker
-    /// pool inside survives across commands).
+    /// The persistent real-threads backend (Threaded mode only). Its
+    /// worker pool forks lazily and survives across commands.
     threaded: Option<ThreadedHook>,
-    /// Persistent fork-per-section baseline backend.
-    forked: Option<ForkPerSectionHook>,
     /// Reused per-job cycle scratch for the modeled backend.
     scratch_cycles: Vec<u64>,
-    /// Staged-but-undispatched job trees (and, fork mode, executed-but-
-    /// uncollected section results): kept as GC roots while in-flight
-    /// sections of *earlier* commands are collected (their
-    /// between-command GC must not sweep them).
-    batch_roots: Vec<NodeId>,
-    /// A drained barrier command's parsed forms, rooted from
-    /// classification until its synchronous execution.
-    barrier_roots: Vec<NodeId>,
-    /// Reused concatenation buffer for the two root sets.
-    gc_scratch: Vec<NodeId>,
-    /// Reply slots written off by an infrastructure failure, awaiting
-    /// the scheduler's sequential fallback ([`ExecQueue::take_failed`]).
-    degraded_slots: Vec<usize>,
-    /// Incremental classifier-environment fingerprint (verdict-tier key
-    /// dimension; see [`crate::cache`] module docs).
-    fingerprint: FingerprintTracker,
-    /// Reply-tier store tickets recorded at classify time for cache
-    /// misses of classified-pure commands, keyed by batch slot and
-    /// consumed when the slot's `Ok` reply is produced.
-    pending_store: HashMap<usize, ReplyTicket>,
-}
-
-impl BatchClassifier {
-    /// Fingerprint discriminant: the two classifiers disagree on some
-    /// shapes, so their cached verdicts must not share entries. (The GPU
-    /// repl classifies with the same effect analysis and shares the
-    /// `EffectAnalysis` tag — a verdict is a property of the rule and
-    /// the environment, not of the backend.)
-    pub(crate) fn fingerprint_tag(self) -> u8 {
-        match self {
-            BatchClassifier::EffectAnalysis => 0xEA,
-            BatchClassifier::SyntacticInert => 0x51,
-        }
-    }
 }
 
 /// A pipelined command whose section is staged but not yet collected.
@@ -199,7 +113,7 @@ struct PendingCommand {
     /// Index into the batch's reply vector.
     slot: usize,
     /// Wall clock at parse start.
-    wall_start: std::time::Instant,
+    wall_start: Instant,
     /// Parse-phase counters (already machine-accounted).
     parse: Counters,
     /// Master-side eval counters spent staging (header eval, job build,
@@ -210,21 +124,25 @@ struct PendingCommand {
 impl CpuRepl {
     /// Boots a CPU session for `spec` (one of the catalog's CPU devices).
     pub fn launch(spec: DeviceSpec, config: CpuReplConfig) -> Self {
-        let mut interp = Interp::new(config.interp.clone());
-        interp.host_io = config.host_io.clone();
+        let threaded = match config.mode {
+            CpuMode::Modeled => None,
+            CpuMode::Threaded { threads } => Some(ThreadedHook::with_watchdog(
+                threads,
+                config.reply_deadline,
+                config.fault_plan,
+            )),
+        };
         Self {
-            interp,
+            pipe: Pipeline::new(
+                spec,
+                &config.interp,
+                config.host_io,
+                config.gc_between_commands,
+                config.cache,
+            ),
             machine: CpuMachine::launch(spec),
-            config,
-            threaded: None,
-            forked: None,
+            threaded,
             scratch_cycles: Vec::new(),
-            batch_roots: Vec::new(),
-            barrier_roots: Vec::new(),
-            gc_scratch: Vec::new(),
-            degraded_slots: Vec::new(),
-            fingerprint: FingerprintTracker::new(),
-            pending_store: HashMap::new(),
         }
     }
 
@@ -234,8 +152,8 @@ impl CpuRepl {
     }
 
     /// Direct access to the interpreter (tests/diagnostics).
-    pub fn interp_mut(&mut self) -> &mut Interp {
-        &mut self.interp
+    pub fn interp_mut(&mut self) -> &mut culi_core::Interp {
+        &mut self.pipe.interp
     }
 
     /// Submits one command line.
@@ -255,20 +173,20 @@ impl CpuRepl {
         self.submit_inner(input, true)
     }
 
-    /// Drops the session's warm parallel backends (worker pool and
-    /// retained fork arena), returning the dispatch-buffer bytes that
-    /// were retained. The next pooled submit transparently re-forks via
-    /// [`ThreadedHook::pool_mut`] — eviction is invisible to the tenant
-    /// beyond re-warm latency. No-op (returns 0) while cold.
+    /// Drops the session's warm worker pool, returning the dispatch-buffer
+    /// bytes it retained. The next pooled submit transparently re-forks —
+    /// eviction is invisible to the tenant beyond re-warm latency. No-op
+    /// (returns 0) while cold.
     pub fn release_warm_forks(&mut self) -> usize {
         let freed = self.retained_warm_bytes();
-        self.threaded = None;
-        self.forked = None;
+        if let Some(hook) = &mut self.threaded {
+            hook.release();
+        }
         freed
     }
 
     /// Bytes of dispatch-buffer capacity retained by this session's warm
-    /// backends (0 while cold) — the unit the session server's eviction
+    /// pool (0 while cold) — the unit the session server's eviction
     /// budget counts in.
     pub fn retained_warm_bytes(&self) -> usize {
         self.threaded
@@ -276,271 +194,56 @@ impl CpuRepl {
             .map_or(0, ThreadedHook::retained_buffer_bytes)
     }
 
-    /// `true` while the session holds a warm (forked) parallel backend.
+    /// `true` while the session holds a warm (forked) worker pool.
     pub fn has_warm_forks(&self) -> bool {
-        self.threaded.as_ref().is_some_and(ThreadedHook::is_warm) || self.forked.is_some()
+        self.threaded.as_ref().is_some_and(ThreadedHook::is_warm)
     }
 
-    /// [`CpuRepl::submit`] body. With `reference` set, evaluation is
-    /// forced through the master-side [`SequentialReferenceHook`]
-    /// regardless of mode — the scheduler's degradation fallback, which
-    /// must not depend on the (possibly lost) worker pool yet must
-    /// produce replies byte-identical to it.
     fn submit_inner(&mut self, input: &str, reference: bool) -> Result<Reply> {
         if !self.machine.is_running() {
             return Err(RuntimeError::SessionClosed);
         }
-        let wall_start = std::time::Instant::now();
-        let costs = self.spec().costs;
-
-        // --- Parse ------------------------------------------------------
-        let m0 = self.interp.meter.snapshot();
-        let parse_result = culi_core::parser::parse(&mut self.interp, input.as_bytes());
-        let parse_counters = self.interp.meter.snapshot().delta_since(&m0);
-        self.machine
-            .serial_compute(counters_to_cycles(&costs, &parse_counters))?;
-        let forms = match parse_result {
-            Ok(forms) => forms,
-            Err(e) => {
-                return self.error_reply(
-                    e,
-                    CommandCounters {
-                        parse: parse_counters,
-                        ..Default::default()
-                    },
-                )
-            }
-        };
-        self.finish_submit(&forms, parse_counters, wall_start, reference)
+        let cmd = self.pipe.parse(input);
+        self.execute(&cmd, reference)
     }
 
-    /// Evaluate-and-print half of [`CpuRepl::submit`], shared with the
-    /// barrier path of [`CpuRepl::submit_batch`] (which has already
-    /// parsed and machine-accounted the command).
-    fn finish_submit(
-        &mut self,
-        forms: &[NodeId],
-        parse_counters: Counters,
-        wall_start: std::time::Instant,
-        reference: bool,
-    ) -> Result<Reply> {
-        let costs = self.spec().costs;
-
-        // --- Evaluate -----------------------------------------------------
-        // Containment: every command evaluates under the session's fuel
-        // budget, armed fresh here (workers re-arm per job themselves).
-        self.interp.meter.arm_fuel(self.config.interp.fuel_budget);
-        let m1 = self.interp.meter.snapshot();
-        // `master_jobs` is the slice of `job_counters` that was metered on
-        // the master interpreter (and must therefore be subtracted back out
-        // of its total): everything for the modeled backend and the
-        // sequential reference, only degraded-section fallbacks for the
-        // real-threads pool, nothing for fork-per-section.
-        let (last, sections, job_counters, master_jobs, eval_error, sim_error) = if reference {
-            let mut hook = SequentialReferenceHook::default();
-            let (last, err) = eval_forms(&mut self.interp, &mut hook, forms);
-            (last, Vec::new(), hook.jobs, hook.jobs, err, None)
-        } else {
-            match self.config.mode {
-                CpuMode::Modeled => {
-                    let mut hook = CpuModelHook {
-                        machine: &mut self.machine,
-                        costs,
-                        job_counters: Counters::default(),
-                        sections: Vec::new(),
-                        sim_error: None,
-                        job_cycles: std::mem::take(&mut self.scratch_cycles),
-                    };
-                    let (last, err) = eval_forms(&mut self.interp, &mut hook, forms);
-                    self.scratch_cycles = hook.job_cycles;
-                    let jobs = hook.job_counters;
-                    (last, hook.sections, jobs, jobs, err, hook.sim_error)
-                }
-                CpuMode::Threaded { threads } => {
-                    // The hook (and its worker pool) persists across
-                    // commands: workers stay warm and are synchronized
-                    // incrementally.
-                    let deadline = self.config.reply_deadline;
-                    let plan = self.config.fault_plan.clone();
-                    let hook = self.threaded.get_or_insert_with(|| {
-                        ThreadedHook::with_watchdog(threads, deadline, plan)
-                    });
-                    let (last, err) = eval_forms(&mut self.interp, hook, forms);
-                    // Sections the hook degraded to the master (seat loss
-                    // mid-barrier) were metered on the master interpreter;
-                    // fold them into the job charges like any other section.
-                    let degraded = hook.take_degraded_jobs();
-                    let mut jobs = hook.take_job_counters();
-                    jobs.add(&degraded);
-                    (last, Vec::new(), jobs, degraded, err, None)
-                }
-                CpuMode::ForkPerSection { threads } => {
-                    let hook = self
-                        .forked
-                        .get_or_insert_with(|| ForkPerSectionHook::new(threads));
-                    let (last, err) = eval_forms(&mut self.interp, hook, forms);
-                    let jobs = hook.take_job_counters();
-                    (last, Vec::new(), jobs, Counters::default(), err, None)
-                }
-            }
-        };
-        if let Some(sim) = sim_error {
-            return Err(RuntimeError::Device(sim));
+    /// Runs a parsed command through the pipeline on this session's
+    /// backend — or, with `reference` set, on the master-side sequential
+    /// reference, which must not depend on the (possibly lost) worker
+    /// pool yet produces byte-identical replies.
+    fn execute(&mut self, cmd: &Command, reference: bool) -> Result<Reply> {
+        let overhead = self.machine.spec().command_overhead_cycles;
+        let machine = &mut self.machine;
+        match &mut self.threaded {
+            _ if reference => self
+                .pipe
+                .execute(&mut Reference::new(machine), cmd, overhead),
+            Some(hook) => self
+                .pipe
+                .execute(&mut Pooled { hook, machine }, cmd, overhead),
+            None => self.pipe.execute(
+                &mut Modeled::new(machine, &mut self.scratch_cycles),
+                cmd,
+                overhead,
+            ),
         }
-        let eval_total = self.interp.meter.snapshot().delta_since(&m1);
-        let eval_master = eval_total.delta_since(&master_jobs);
-        let dispatch_overhead = self.spec().command_overhead_cycles;
-        let section_cycles: u64 =
-            sections.iter().map(|s| s.total_cycles()).sum::<u64>() + dispatch_overhead;
-        self.machine
-            .serial_compute(counters_to_cycles(&costs, &eval_master) + dispatch_overhead)?;
-        if let Some(e) = eval_error {
-            return self.error_reply(
-                e,
-                CommandCounters {
-                    parse: parse_counters,
-                    eval_master,
-                    jobs: job_counters,
-                    ..Default::default()
-                },
-            );
-        }
-
-        // --- Print ---------------------------------------------------------
-        let m2 = self.interp.meter.snapshot();
-        let output = match last {
-            Some(node) => match culi_core::printer::print_to_string(&mut self.interp, node) {
-                Ok(s) => s,
-                Err(e) => {
-                    return self.error_reply(
-                        e,
-                        CommandCounters {
-                            parse: parse_counters,
-                            eval_master,
-                            jobs: job_counters,
-                            ..Default::default()
-                        },
-                    )
-                }
-            },
-            None => String::new(),
-        };
-        let print_counters = self.interp.meter.snapshot().delta_since(&m2);
-        self.machine
-            .serial_compute(counters_to_cycles(&costs, &print_counters))?;
-
-        self.gc_between_commands();
-        let spec = self.spec();
-        let phases = breakdown(
-            &spec,
-            &parse_counters,
-            &eval_master,
-            &print_counters,
-            section_cycles,
-            0,
-        );
-        Ok(Reply {
-            output,
-            ok: true,
-            code: ErrorCode::Ok,
-            phases,
-            counters: CommandCounters {
-                parse: parse_counters,
-                eval_master,
-                jobs: job_counters,
-                print: print_counters,
-            },
-            sections,
-            wall_ns: wall_start.elapsed().as_nanos() as u64,
-        })
     }
 
     /// Submits a stream of commands through the shared
     /// [`BatchScheduler`], pipelining consecutive stageable `|||`
     /// commands (Threaded mode: coalesced multi-section postbox
     /// dispatches with up to [`WorkerPool::PIPELINE_DEPTH`] runs in
-    /// flight; ForkPerSection mode: the same staging/drain machine over
-    /// eagerly-executed sections; Modeled mode falls back to a `submit`
-    /// loop). Replies come back in input order and match a `submit` loop
-    /// exactly.
+    /// flight; Modeled mode falls back to a `submit` loop). Replies come
+    /// back in input order and match a `submit` loop exactly.
     pub fn submit_batch(&mut self, inputs: &[&str]) -> Result<Vec<Reply>> {
-        if matches!(self.config.mode, CpuMode::Modeled) {
+        if self.threaded.is_none() {
             return inputs.iter().map(|s| self.submit(s)).collect();
         }
         if !self.machine.is_running() {
             return Err(RuntimeError::SessionClosed);
         }
-        // Stale roots can only be left behind by a batch aborted on a
-        // hard (machine/device) error.
-        self.batch_roots.clear();
-        self.barrier_roots.clear();
-        // Store tickets never outlive their batch (slot numbers are only
-        // meaningful within one).
-        self.pending_store.clear();
+        self.pipe.begin_batch();
         BatchScheduler::submit_batch(self, inputs)
-    }
-
-    /// The batch classifier's verdict for a single-form command, served
-    /// from the cache's verdict tier when possible. The classifier reads
-    /// the live global environment, so cached verdicts are scoped by the
-    /// [`FingerprintTracker`] fingerprint; a poisoned tracker falls back
-    /// to classifying directly (always sound — the tier only skips a
-    /// charge-free walk).
-    fn classify_stageable(
-        &mut self,
-        cache: Option<&CommandCache>,
-        command_key: Option<&StructKey>,
-        form: NodeId,
-    ) -> bool {
-        fn classify(interp: &Interp, classifier: BatchClassifier, form: NodeId) -> bool {
-            match classifier {
-                BatchClassifier::EffectAnalysis => {
-                    culi_core::effects::stageable_parallel_section(interp, interp.global, form)
-                }
-                BatchClassifier::SyntacticInert => stageable_inert_section(interp, form),
-            }
-        }
-        let classifier = self.config.batch_classifier;
-        let Some(cache) = cache else {
-            return classify(&self.interp, classifier, form);
-        };
-        let Some(fp) = self
-            .fingerprint
-            .fingerprint(&self.interp, classifier.fingerprint_tag())
-        else {
-            return classify(&self.interp, classifier, form);
-        };
-        // The reply-tier probe already encoded the whole command; a
-        // single-form key slices out of it instead of re-walking the tree.
-        let key = command_key
-            .and_then(StructKey::single_form)
-            .unwrap_or_else(|| StructKey::of(&self.interp, form));
-        if let Some(v) = cache.verdict_lookup(&key, fp) {
-            return v;
-        }
-        let v = classify(&self.interp, classifier, form);
-        cache.verdict_insert(key, fp, v);
-        v
-    }
-
-    /// Consumes `slot`'s reply-tier store ticket if its command really
-    /// produced the successful reply the ticket anticipated. Error and
-    /// degraded replies drop through (their tickets die with the batch);
-    /// a stored reply is therefore always an `Ok` produced by the real
-    /// execution path at the ticket's epoch.
-    fn maybe_cache_store(&mut self, slot: usize, reply: &Reply) {
-        if !reply.ok || reply.code != ErrorCode::Ok {
-            return;
-        }
-        let Some(t) = self.pending_store.remove(&slot) else {
-            return;
-        };
-        if let Some(cache) = &self.config.cache {
-            // Pure commands cannot move the epoch, and nothing impure can
-            // have run between classify and reply (barriers drain first).
-            debug_assert_eq!(self.interp.envs.sync_epoch(), t.epoch);
-            cache.reply_insert(t.key, &t.text, t.epoch, reply.clone());
-        }
     }
 
     /// Evaluates a classified top-level section command through the same
@@ -550,212 +253,63 @@ impl CpuRepl {
     /// job buffer, ready to stage. Meter-identical to `eval` reaching the
     /// `|||` builtin (the differential harness asserts this).
     fn prepare_classified_section(&mut self, form: NodeId) -> culi_core::Result<Vec<NodeId>> {
-        let interp = &mut self.interp;
+        let interp = &mut self.pipe.interp;
+        let hook = threaded(&mut self.threaded);
         let global = interp.global;
         let mut args = interp.take_node_buf();
-        let dispatched =
-            culi_core::eval::charge_symbol_head_dispatch(interp, form, global, &mut args);
-        if let Err(e) = dispatched {
-            interp.put_node_buf(args);
-            return Err(e);
-        }
-        let prepared = match self.config.mode {
-            CpuMode::Threaded { threads } => {
-                let deadline = self.config.reply_deadline;
-                let plan = self.config.fault_plan.clone();
-                let hook = self
-                    .threaded
-                    .get_or_insert_with(|| ThreadedHook::with_watchdog(threads, deadline, plan));
-                culi_core::builtins::prepare_section(interp, hook, &args, global, 0)
-            }
-            CpuMode::ForkPerSection { threads } => {
-                let hook = self
-                    .forked
-                    .get_or_insert_with(|| ForkPerSectionHook::new(threads));
-                culi_core::builtins::prepare_section(interp, hook, &args, global, 0)
-            }
-            CpuMode::Modeled => unreachable!("pipelined staging outside a parallel CPU mode"),
-        };
+        let prepared =
+            match culi_core::eval::charge_symbol_head_dispatch(interp, form, global, &mut args) {
+                Ok(_) => culi_core::builtins::prepare_section(interp, hook, &args, global, 0),
+                Err(e) => Err(e),
+            };
         interp.put_node_buf(args);
         prepared
     }
 
     /// Collects the oldest pool-staged command: gather its section's
-    /// replies, then the shared finish path.
-    fn collect_staged(&mut self, cmd: PendingCommand) -> Result<(usize, Reply)> {
-        let hook = self
-            .threaded
-            .as_mut()
-            .expect("a staged command implies a live threaded hook");
-        let pool = hook.pool_mut(&self.interp);
-        let mut results = self.interp.take_node_buf();
-        let m = self.interp.meter.snapshot();
-        let outcome = pool.collect_next(&mut self.interp, &mut results);
-        let finished = match outcome {
-            Ok(()) => culi_core::builtins::finish_section(&mut self.interp, &results),
-            Err(e) => Err(e),
-        };
-        self.interp.put_node_buf(results);
-        let eval_collect = self.interp.meter.snapshot().delta_since(&m);
-        let job_counters = hook.take_job_counters();
-        self.finish_collected(cmd, finished, eval_collect, job_counters)
-    }
-
-    /// Collects one eagerly-executed fork-per-section command from its
-    /// recorded section results.
-    fn collect_forked(
-        &mut self,
-        cmd: PendingCommand,
-        outcome: culi_core::Result<Vec<NodeId>>,
-        job_counters: Counters,
-    ) -> Result<(usize, Reply)> {
-        let m = self.interp.meter.snapshot();
-        let finished = match outcome {
-            Ok(results) => {
-                let f = culi_core::builtins::finish_section(&mut self.interp, &results);
-                self.interp.put_node_buf(results);
-                f
-            }
-            Err(e) => Err(e),
-        };
-        let eval_collect = self.interp.meter.snapshot().delta_since(&m);
-        self.finish_collected(cmd, finished, eval_collect, job_counters)
-    }
-
-    /// Shared back half of collecting one staged command: account the
-    /// machine, print, GC, build the reply — charge-identical to the
-    /// synchronous path's post-section work.
-    fn finish_collected(
-        &mut self,
-        cmd: PendingCommand,
-        finished: culi_core::Result<NodeId>,
-        eval_collect: Counters,
-        job_counters: Counters,
-    ) -> Result<(usize, Reply)> {
-        let costs = self.spec().costs;
-        let dispatch_overhead = self.spec().command_overhead_cycles;
+    /// replies, then finish it through the pipeline.
+    fn collect_staged(&mut self, cmd: PendingCommand) -> Result<Reply> {
+        let interp = &mut self.pipe.interp;
+        let hook = threaded(&mut self.threaded);
+        let mut results = interp.take_node_buf();
+        let m = interp.meter.snapshot();
+        let finished = hook
+            .pool_mut(interp)
+            .collect_next(interp, &mut results)
+            .and_then(|()| culi_core::builtins::finish_section(interp, &results));
+        interp.put_node_buf(results);
         let mut eval_master = cmd.eval_stage;
-        eval_master.add(&eval_collect);
-        self.machine
-            .serial_compute(counters_to_cycles(&costs, &eval_master) + dispatch_overhead)?;
-        let node = match finished {
-            Ok(node) => node,
-            Err(e) => {
-                if e.code() == ErrorCode::Device {
-                    // Infrastructure failure (seat lost to a panic, hang,
-                    // or garbled reply) — not a program error. Surface it
-                    // to the scheduler so it can degrade the batch to the
-                    // sequential fallback instead of replying.
-                    return Err(RuntimeError::Lisp(e));
-                }
-                let reply = self.error_reply(
-                    e,
-                    CommandCounters {
+        eval_master.add(&interp.meter.snapshot().delta_since(&m));
+        let jobs = hook.take_job_counters();
+        match finished {
+            // Infrastructure failure (seat lost to a panic, hang, or
+            // garbled reply) — not a program error. Surface it to the
+            // scheduler so it can degrade the batch to the sequential
+            // fallback instead of replying.
+            Err(e) if e.code() == ErrorCode::Device => Err(RuntimeError::Lisp(e)),
+            value => {
+                let evaluated = Evaluated {
+                    value: value.map(Some),
+                    counters: CommandCounters {
                         parse: cmd.parse,
                         eval_master,
-                        jobs: job_counters,
+                        jobs,
                         ..Default::default()
                     },
-                )?;
-                return Ok((cmd.slot, reply));
+                    sections: Vec::new(),
+                    wall_start: cmd.wall_start,
+                };
+                let machine = &mut self.machine;
+                let overhead = machine.spec().command_overhead_cycles;
+                let mut backend = Pooled { hook, machine };
+                self.pipe.finish(&mut backend, evaluated, overhead)
             }
-        };
-
-        // --- Print -------------------------------------------------------
-        let m2 = self.interp.meter.snapshot();
-        let printed = culi_core::printer::print_to_string(&mut self.interp, node);
-        let print_counters = self.interp.meter.snapshot().delta_since(&m2);
-        let output = match printed {
-            Ok(s) => s,
-            Err(e) => {
-                let reply = self.error_reply(
-                    e,
-                    CommandCounters {
-                        parse: cmd.parse,
-                        eval_master,
-                        jobs: job_counters,
-                        ..Default::default()
-                    },
-                )?;
-                return Ok((cmd.slot, reply));
-            }
-        };
-        self.machine
-            .serial_compute(counters_to_cycles(&costs, &print_counters))?;
-        self.gc_between_commands();
-        let spec = self.spec();
-        let phases = breakdown(
-            &spec,
-            &cmd.parse,
-            &eval_master,
-            &print_counters,
-            dispatch_overhead,
-            0,
-        );
-        let reply = Reply {
-            output,
-            ok: true,
-            code: ErrorCode::Ok,
-            phases,
-            counters: CommandCounters {
-                parse: cmd.parse,
-                eval_master,
-                jobs: job_counters,
-                print: print_counters,
-            },
-            sections: Vec::new(),
-            wall_ns: cmd.wall_start.elapsed().as_nanos() as u64,
-        };
-        self.maybe_cache_store(cmd.slot, &reply);
-        Ok((cmd.slot, reply))
-    }
-
-    /// Between-command collection, keeping staged-but-uncollected batch
-    /// state (job trees, fork results, a barrier's parse forms) alive.
-    fn gc_between_commands(&mut self) {
-        if !self.config.gc_between_commands {
-            return;
         }
-        if self.barrier_roots.is_empty() {
-            culi_core::gc::collect(&mut self.interp, &self.batch_roots);
-        } else if self.batch_roots.is_empty() {
-            culi_core::gc::collect(&mut self.interp, &self.barrier_roots);
-        } else {
-            let mut roots = std::mem::take(&mut self.gc_scratch);
-            roots.clear();
-            roots.extend_from_slice(&self.batch_roots);
-            roots.extend_from_slice(&self.barrier_roots);
-            culi_core::gc::collect(&mut self.interp, &roots);
-            self.gc_scratch = roots;
-        }
-    }
-
-    fn error_reply(&mut self, e: CuliError, counters: CommandCounters) -> Result<Reply> {
-        self.gc_between_commands();
-        let spec = self.spec();
-        let phases = breakdown(
-            &spec,
-            &counters.parse,
-            &counters.eval_master,
-            &counters.print,
-            0,
-            0,
-        );
-        Ok(Reply {
-            output: format!("error: {e}"),
-            ok: false,
-            code: e.code(),
-            phases,
-            counters,
-            sections: Vec::new(),
-            wall_ns: 0,
-        })
     }
 
     /// Stops the worker pool; returns total setup+teardown in ms.
     pub fn shutdown(&mut self) -> f64 {
         self.threaded = None; // joins the persistent worker pool
-        self.forked = None;
         self.machine.shutdown();
         self.machine.overhead_ns() as f64 / 1e6
     }
@@ -764,6 +318,12 @@ impl CpuRepl {
     pub fn is_running(&self) -> bool {
         self.machine.is_running()
     }
+}
+
+/// The worker-pool hook of a Threaded session (the only mode that runs
+/// batches through the scheduler).
+fn threaded(hook: &mut Option<ThreadedHook>) -> &mut ThreadedHook {
+    hook.as_mut().expect("batches run in Threaded mode")
 }
 
 /// One classified-stageable CPU batch command: its metadata plus the
@@ -775,63 +335,17 @@ pub struct CpuStaged {
     jobs: Vec<NodeId>,
 }
 
-/// Carried state of a CPU batch command that must run synchronously.
-/// Opaque scheduler token — see [`ExecQueue::Barrier`].
+/// A parsed CPU batch command that must run synchronously (its forms
+/// stay rooted through the drain). Opaque scheduler token — see
+/// [`ExecQueue::Barrier`].
 #[derive(Debug)]
-pub enum CpuBarrier {
-    /// A parsed non-stageable command (its forms stay GC-rooted through
-    /// the drain).
-    Forms {
-        /// Parsed top-level forms.
-        forms: Vec<NodeId>,
-        /// Parse-phase counters (already machine-accounted).
-        parse: Counters,
-        /// Wall clock at parse start.
-        wall_start: std::time::Instant,
-    },
-    /// The command failed to parse.
-    ParseError {
-        /// The parse error, rendered after the drain.
-        error: CuliError,
-        /// Parse-phase counters (already machine-accounted).
-        parse: Counters,
-    },
-    /// Header/argument evaluation failed while staging — the same error
-    /// the synchronous path would produce.
-    StageError {
-        /// The stage-time error, rendered after the drain.
-        error: CuliError,
-        /// Parse-phase counters (already machine-accounted).
-        parse: Counters,
-        /// Master-side counters spent before the failure (machine-
-        /// accounted at reply time, like the synchronous path).
-        eval_stage: Counters,
-    },
-}
+pub struct CpuBarrier(Command);
 
-/// One dispatched CPU run. Opaque scheduler token — see
-/// [`ExecQueue::Run`].
+/// One dispatched CPU run: the worker pool holds its sections, collected
+/// in order through [`WorkerPool::collect_next`]. Opaque scheduler token
+/// — see [`ExecQueue::Run`].
 #[derive(Debug)]
-pub struct CpuRun(CpuRunInner);
-
-#[derive(Debug)]
-enum CpuRunInner {
-    /// Threaded mode: the worker pool holds the run's sections; each
-    /// command is collected through [`WorkerPool::collect_next`].
-    Pooled(Vec<PendingCommand>),
-    /// ForkPerSection mode: sections were executed eagerly at dispatch;
-    /// each command carries its recorded results (or section error) and
-    /// its workers' job charges.
-    Forked {
-        /// The run's commands with their recorded outcomes.
-        cmds: Vec<(PendingCommand, culi_core::Result<Vec<NodeId>>, Counters)>,
-        /// Result node ids this run parked at the *front* of
-        /// `batch_roots` at dispatch — collect un-roots exactly that
-        /// prefix, leaving any jobs a later assembling run has already
-        /// rooted behind it untouched.
-        rooted_results: usize,
-    },
-}
+pub struct CpuRun(Vec<PendingCommand>);
 
 impl<'i> ExecQueue<'i> for CpuRepl {
     type Staged = CpuStaged;
@@ -843,13 +357,7 @@ impl<'i> ExecQueue<'i> for CpuRepl {
     }
 
     fn pipeline_depth(&self) -> usize {
-        match self.config.mode {
-            CpuMode::Threaded { .. } => WorkerPool::PIPELINE_DEPTH,
-            // The baseline executes runs eagerly at dispatch (no worker
-            // state to overlap with); depth 1 bounds the rooting window
-            // of its uncollected section results to one run.
-            _ => 1,
-        }
+        WorkerPool::PIPELINE_DEPTH
     }
 
     fn classify_and_stage(
@@ -857,214 +365,92 @@ impl<'i> ExecQueue<'i> for CpuRepl {
         input: &'i str,
         slot: usize,
     ) -> Result<Verdict<CpuStaged, CpuBarrier>> {
-        let wall_start = std::time::Instant::now();
-        let costs = self.spec().costs;
-        // --- Parse (overlaps in-flight runs) -----------------------------
-        let m0 = self.interp.meter.snapshot();
-        let parse_result = culi_core::parser::parse(&mut self.interp, input.as_bytes());
-        let parse_counters = self.interp.meter.snapshot().delta_since(&m0);
-        self.machine
-            .serial_compute(counters_to_cycles(&costs, &parse_counters))?;
-        let forms = match parse_result {
-            Ok(forms) => forms,
-            Err(e) => {
-                return Ok(Verdict::Barrier(CpuBarrier::ParseError {
-                    error: e,
-                    parse: parse_counters,
-                }))
+        let cmd = match self.pipe.classify(input, slot) {
+            Verdict::Stage(cmd) => cmd,
+            Verdict::Barrier(cmd) => return Ok(Verdict::Barrier(CpuBarrier(cmd))),
+            Verdict::Done(reply) => return Ok(Verdict::Done(reply)),
+        };
+        let form = cmd.forms.as_ref().expect("staged commands parsed")[0];
+        // Same arming point as the synchronous path: the command's
+        // master-side work runs under the session's fuel budget.
+        self.pipe.arm_fuel();
+        let m = self.pipe.interp.meter.snapshot();
+        let prepared = self.prepare_classified_section(form);
+        let eval_stage = self.pipe.interp.meter.snapshot().delta_since(&m);
+        let jobs = match prepared {
+            Ok(jobs) => jobs,
+            Err(_) => {
+                // Staging failed part-way. The operands are pure, so the
+                // command simply runs as a barrier: the synchronous path
+                // meters and renders the same failure as a `submit`.
+                self.pipe.barrier_roots.push(form);
+                return Ok(Verdict::Barrier(CpuBarrier(cmd)));
             }
         };
-        // --- Cache probe (charge-free; see crate::cache) -----------------
-        // The epoch captured here is exactly the environment state this
-        // command executes against: every earlier barrier already ran
-        // (the scheduler drains and executes barriers before classifying
-        // the next command) and every in-flight staged command is pure.
-        let cache = self.config.cache.clone();
-        let mut probe = None;
-        if let Some(cache) = &cache {
-            let key = StructKey::of_forms(&self.interp, &forms);
-            let epoch = self.interp.envs.sync_epoch();
-            if let Some(mut reply) = cache.reply_lookup(&key, input, epoch) {
-                // The stored counters are the ones this run would
-                // recompute (source-text condition); only wall time is
-                // fresh. The probe's parse temporaries are garbage now —
-                // collect them as any finished command would.
-                reply.wall_ns = wall_start.elapsed().as_nanos() as u64;
-                self.gc_between_commands();
-                return Ok(Verdict::Done(Box::new(reply)));
-            }
-            probe = Some((key, epoch));
-        }
-        let stageable = forms.len() == 1
-            && self.classify_stageable(cache.as_ref(), probe.as_ref().map(|(k, _)| k), forms[0]);
-        // A miss on a classified-pure command earns a store ticket,
-        // consumed if and when the slot produces an `Ok` reply. Purity is
-        // what makes replay sound: the reply depends only on the tree and
-        // the (epoch-stamped) environment.
-        if let (Some(_), Some((key, epoch))) = (&cache, probe) {
-            let pure = stageable
-                || forms.iter().all(|&f| {
-                    culi_core::effects::expr_is_pure(&self.interp, self.interp.global, f)
-                });
-            if pure {
-                self.pending_store.insert(
-                    slot,
-                    ReplyTicket {
-                        key,
-                        text: input.to_string(),
-                        epoch,
-                    },
-                );
-            }
-        }
-        if !stageable {
-            // Root the parse tree across the coming drain's GCs.
-            self.barrier_roots.extend_from_slice(&forms);
-            return Ok(Verdict::Barrier(CpuBarrier::Forms {
-                forms,
-                parse: parse_counters,
-                wall_start,
-            }));
-        }
-        // --- Prepare (meter-identical to the synchronous path) -----------
-        // Same arming point as finish_submit: the command's master-side
-        // work runs under the session's fuel budget.
-        self.interp.meter.arm_fuel(self.config.interp.fuel_budget);
-        let m1 = self.interp.meter.snapshot();
-        let prepared = self.prepare_classified_section(forms[0]);
-        let eval_stage = self.interp.meter.snapshot().delta_since(&m1);
-        Ok(match prepared {
-            Ok(jobs) => {
-                self.batch_roots.extend_from_slice(&jobs);
-                Verdict::Stage(CpuStaged {
-                    cmd: PendingCommand {
-                        slot,
-                        wall_start,
-                        parse: parse_counters,
-                        eval_stage,
-                    },
-                    jobs,
-                })
-            }
-            Err(e) => Verdict::Barrier(CpuBarrier::StageError {
-                error: e,
-                parse: parse_counters,
+        // Staged commands never reach `Pipeline::execute`: charge the
+        // parse here.
+        let costs = self.machine.spec().costs;
+        self.machine
+            .serial_compute(counters_to_cycles(&costs, &cmd.parse))?;
+        self.pipe.batch_roots.extend_from_slice(&jobs);
+        Ok(Verdict::Stage(CpuStaged {
+            cmd: PendingCommand {
+                slot,
+                wall_start: cmd.wall_start,
+                parse: cmd.parse,
                 eval_stage,
-            }),
-        })
+            },
+            jobs,
+        }))
     }
 
     fn dispatch(&mut self, run: Vec<CpuStaged>) -> Result<CpuRun> {
-        match self.config.mode {
-            CpuMode::Threaded { threads } => {
-                let deadline = self.config.reply_deadline;
-                let plan = self.config.fault_plan.clone();
-                let hook = self
-                    .threaded
-                    .get_or_insert_with(|| ThreadedHook::with_watchdog(threads, deadline, plan));
-                let sections: Vec<&[NodeId]> = run.iter().map(|s| s.jobs.as_slice()).collect();
-                let global = self.interp.global;
-                hook.pool_mut(&self.interp).stage_run_cached(
-                    &mut self.interp,
-                    &sections,
-                    global,
-                    self.config.cache.as_ref(),
-                );
-                let mut cmds = Vec::with_capacity(run.len());
-                for CpuStaged { cmd, jobs } in run {
-                    self.interp.put_node_buf(jobs);
-                    cmds.push(cmd);
-                }
-                // The jobs are encoded into the postbox now.
-                self.batch_roots.clear();
-                Ok(CpuRun(CpuRunInner::Pooled(cmds)))
-            }
-            CpuMode::ForkPerSection { threads } => {
-                // Execute eagerly: a fork dies with its section, so there
-                // is no pipelining to gain — only the shared staging
-                // semantics. Entering dispatch, batch_roots holds exactly
-                // this run's staged job trees; they are consumed below
-                // and the recorded results take their place as the rooted
-                // prefix until collected.
-                self.batch_roots.clear();
-                let mut cmds = Vec::with_capacity(run.len());
-                for CpuStaged { cmd, jobs } in run {
-                    let hook = self
-                        .forked
-                        .get_or_insert_with(|| ForkPerSectionHook::new(threads));
-                    let mut results = self.interp.take_node_buf();
-                    let global = self.interp.global;
-                    let executed = hook.execute(&mut self.interp, &jobs, global, &mut results);
-                    self.interp.put_node_buf(jobs);
-                    let job_counters = hook.take_job_counters();
-                    let outcome = match executed {
-                        Ok(()) => {
-                            self.batch_roots.extend_from_slice(&results);
-                            Ok(results)
-                        }
-                        Err(e) => {
-                            self.interp.put_node_buf(results);
-                            Err(e)
-                        }
-                    };
-                    cmds.push((cmd, outcome, job_counters));
-                }
-                let rooted_results = self.batch_roots.len();
-                Ok(CpuRun(CpuRunInner::Forked {
-                    cmds,
-                    rooted_results,
-                }))
-            }
-            CpuMode::Modeled => unreachable!("batch dispatch outside a parallel CPU mode"),
+        let hook = threaded(&mut self.threaded);
+        let interp = &mut self.pipe.interp;
+        let sections: Vec<&[NodeId]> = run.iter().map(|s| s.jobs.as_slice()).collect();
+        let global = interp.global;
+        hook.pool_mut(interp)
+            .stage_run_cached(interp, &sections, global, self.pipe.cache.as_ref());
+        let mut cmds = Vec::with_capacity(run.len());
+        for CpuStaged { cmd, jobs } in run {
+            interp.put_node_buf(jobs);
+            cmds.push(cmd);
         }
+        // The jobs are encoded into the postbox now.
+        self.pipe.batch_roots.clear();
+        Ok(CpuRun(cmds))
     }
 
     fn collect(&mut self, run: CpuRun, replies: &mut [Option<Reply>]) -> Result<()> {
-        match run.0 {
-            CpuRunInner::Pooled(cmds) => {
-                let mut cmds = cmds.into_iter();
-                while let Some(cmd) = cmds.next() {
-                    let slot = cmd.slot;
-                    match self.collect_staged(cmd) {
-                        Ok((slot, reply)) => replies[slot] = Some(reply),
-                        Err(e) if e.is_degradable() => {
-                            // A seat was lost mid-run. Write this command
-                            // and every later one in the run off to the
-                            // scheduler's sequential fallback, draining
-                            // the pool's remaining (possibly synthetic)
-                            // replies so its accounting stays balanced.
-                            self.degraded_slots.push(slot);
-                            let hook = self
-                                .threaded
-                                .as_mut()
-                                .expect("a staged command implies a live threaded hook");
-                            let pool = hook.pool_mut(&self.interp);
-                            let mut scratch = self.interp.take_node_buf();
-                            for cmd in cmds {
-                                self.degraded_slots.push(cmd.slot);
-                                scratch.clear();
-                                let _ = pool.collect_next(&mut self.interp, &mut scratch);
-                            }
-                            self.interp.put_node_buf(scratch);
-                            let _ = hook.take_job_counters();
-                            return Err(e);
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-            CpuRunInner::Forked {
-                cmds,
-                rooted_results,
-            } => {
-                for (cmd, outcome, job_counters) in cmds {
-                    let (slot, reply) = self.collect_forked(cmd, outcome, job_counters)?;
+        let mut cmds = run.0.into_iter();
+        while let Some(cmd) = cmds.next() {
+            let slot = cmd.slot;
+            match self.collect_staged(cmd) {
+                Ok(reply) => {
+                    self.pipe.store(slot, &reply);
                     replies[slot] = Some(reply);
                 }
-                // Un-root only this run's (now consumed) results:
-                // commands staged for the next run may already have
-                // rooted their job trees behind them.
-                self.batch_roots.drain(..rooted_results);
+                Err(e) if e.is_degradable() => {
+                    // A seat was lost mid-run. Write this command and
+                    // every later one in the run off to the scheduler's
+                    // sequential fallback, draining the pool's remaining
+                    // (possibly synthetic) replies so its accounting
+                    // stays balanced.
+                    self.pipe.degraded_slots.push(slot);
+                    let interp = &mut self.pipe.interp;
+                    let hook = threaded(&mut self.threaded);
+                    let pool = hook.pool_mut(interp);
+                    let mut scratch = interp.take_node_buf();
+                    for cmd in cmds {
+                        self.pipe.degraded_slots.push(cmd.slot);
+                        scratch.clear();
+                        let _ = pool.collect_next(interp, &mut scratch);
+                    }
+                    interp.put_node_buf(scratch);
+                    let _ = hook.take_job_counters();
+                    return Err(e);
+                }
+                Err(e) => return Err(e),
             }
         }
         Ok(())
@@ -1076,48 +462,15 @@ impl<'i> ExecQueue<'i> for CpuRepl {
         slot: usize,
         replies: &mut [Option<Reply>],
     ) -> Result<()> {
-        let reply = match barrier {
-            CpuBarrier::Forms {
-                forms,
-                parse,
-                wall_start,
-            } => {
-                self.barrier_roots.clear();
-                let reply = self.finish_submit(&forms, parse, wall_start, false)?;
-                self.maybe_cache_store(slot, &reply);
-                reply
-            }
-            CpuBarrier::ParseError { error, parse } => self.error_reply(
-                error,
-                CommandCounters {
-                    parse,
-                    ..Default::default()
-                },
-            )?,
-            CpuBarrier::StageError {
-                error,
-                parse,
-                eval_stage,
-            } => {
-                let costs = self.spec().costs;
-                self.machine
-                    .serial_compute(counters_to_cycles(&costs, &eval_stage))?;
-                self.error_reply(
-                    error,
-                    CommandCounters {
-                        parse,
-                        eval_master: eval_stage,
-                        ..Default::default()
-                    },
-                )?
-            }
-        };
+        self.pipe.barrier_roots.clear();
+        let reply = self.execute(&barrier.0, false)?;
+        self.pipe.store(slot, &reply);
         replies[slot] = Some(reply);
         Ok(())
     }
 
     fn take_failed(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.degraded_slots)
+        std::mem::take(&mut self.pipe.degraded_slots)
     }
 
     fn run_sequential(
@@ -1126,7 +479,7 @@ impl<'i> ExecQueue<'i> for CpuRepl {
         slot: usize,
         replies: &mut [Option<Reply>],
     ) -> Result<()> {
-        let mut reply = self.submit_inner(input, true)?;
+        let mut reply = self.submit_reference(input)?;
         if reply.ok {
             // The answer is correct but was not produced by the parallel
             // backend; sessions inspecting codes can tell.
@@ -1134,209 +487,6 @@ impl<'i> ExecQueue<'i> for CpuRepl {
         }
         replies[slot] = Some(reply);
         Ok(())
-    }
-}
-
-/// PR 3's charge-free *syntactic* classification, retained as the
-/// [`BatchClassifier::SyntacticInert`] benchmark baseline: `form` is a
-/// `(||| …)` expression whose head symbol resolves to the parallel
-/// builtin in the global environment and whose operands are all
-/// [`inert_operand`]s. The default [`BatchClassifier::EffectAnalysis`]
-/// rule ([`culi_core::effects::stageable_parallel_section`]) subsumes
-/// this one — everything inert is also pure.
-fn stageable_inert_section(interp: &Interp, form: NodeId) -> bool {
-    let n = *interp.arena.get(form);
-    let first = match (n.ty, n.payload) {
-        (
-            NodeType::List | NodeType::Expression,
-            Payload::List {
-                first: Some(first), ..
-            },
-        ) => first,
-        _ => return false,
-    };
-    let head = *interp.arena.get(first);
-    let sid = match (head.ty, head.payload) {
-        (NodeType::Symbol, Payload::Text(s)) => s,
-        _ => return false,
-    };
-    if interp.strings.get(sid) != b"|||" {
-        return false;
-    }
-    match resolve_global_quiet(interp, sid) {
-        Some(node) => {
-            let resolved = interp.arena.get(node);
-            match (resolved.ty, resolved.payload) {
-                (NodeType::Function, Payload::Builtin(b)) => {
-                    if interp.builtins.name(b) != "|||" {
-                        return false;
-                    }
-                }
-                _ => return false,
-            }
-        }
-        None => return false,
-    }
-    let mut cur = interp.arena.get(first).next;
-    while let Some(id) = cur {
-        if !inert_operand(interp, id) {
-            return false;
-        }
-        cur = interp.arena.get(id).next;
-    }
-    true
-}
-
-/// `true` when evaluating `id` cannot have side effects: an atom (a
-/// literal evaluates to itself, a symbol to a pure lookup) or a list of
-/// atoms whose head does not resolve to anything callable (so the list
-/// evaluates element-wise instead of applying a function, form or macro).
-fn inert_operand(interp: &Interp, id: NodeId) -> bool {
-    let n = *interp.arena.get(id);
-    let mut cur = match (n.ty, n.payload) {
-        (NodeType::List | NodeType::Expression, Payload::List { first, .. }) => first,
-        _ => return true,
-    };
-    let mut is_head = true;
-    while let Some(kid) = cur {
-        let k = *interp.arena.get(kid);
-        match k.ty {
-            NodeType::List | NodeType::Expression => return false,
-            NodeType::Symbol if is_head => {
-                if let Payload::Text(s) = k.payload {
-                    if let Some(v) = resolve_global_quiet(interp, s) {
-                        if matches!(
-                            interp.arena.get(v).ty,
-                            NodeType::Function | NodeType::Form | NodeType::Macro
-                        ) {
-                            return false;
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-        is_head = false;
-        cur = k.next;
-    }
-    true
-}
-
-/// Global lookup without touching the session meter (classification must
-/// not charge anything — it is bookkeeping, not interpreter work).
-fn resolve_global_quiet(interp: &Interp, sid: culi_core::StrId) -> Option<NodeId> {
-    let mut scratch = culi_core::cost::Meter::new();
-    interp
-        .envs
-        .lookup(interp.global, sid, &interp.strings, &mut scratch)
-}
-
-fn eval_forms(
-    interp: &mut Interp,
-    hook: &mut dyn ParallelHook,
-    forms: &[NodeId],
-) -> (Option<NodeId>, Option<CuliError>) {
-    let mut last = None;
-    for &form in forms {
-        match eval(interp, hook, form, interp.global, 0) {
-            Ok(v) => last = Some(v),
-            Err(e) => return (last, Some(e)),
-        }
-    }
-    (last, None)
-}
-
-/// The scheduler-fallback backend: evaluates `|||` jobs sequentially on
-/// the master interpreter with the *worker pool's* exact metering
-/// discipline — child env outside the job window, per-job fuel re-arm,
-/// then the `eval` window itself (see `run_msg` in the pool; the pool
-/// test `job_counters_match_sequential_reference` pins the equivalence).
-/// Replies produced through this hook are byte-identical to the
-/// threaded backend's in output, ok and counters.
-#[derive(Debug, Default)]
-struct SequentialReferenceHook {
-    jobs: Counters,
-}
-
-impl ParallelHook for SequentialReferenceHook {
-    fn execute(
-        &mut self,
-        interp: &mut Interp,
-        jobs: &[NodeId],
-        parent_env: culi_core::EnvId,
-        results: &mut Vec<NodeId>,
-    ) -> culi_core::Result<()> {
-        crate::pool::run_jobs_sequential_reference(
-            interp,
-            jobs,
-            parent_env,
-            results,
-            &mut self.jobs,
-        )
-    }
-}
-
-/// Modeled pthread pool: job costs are list-scheduled by the machine.
-/// `job_cycles` is lent by the repl and reused across sections and
-/// commands, so modeled sections allocate nothing per section beyond
-/// their report.
-struct CpuModelHook<'m> {
-    machine: &'m mut CpuMachine,
-    costs: culi_gpu_sim::CostTable,
-    job_counters: Counters,
-    sections: Vec<SectionReport>,
-    sim_error: Option<SimError>,
-    job_cycles: Vec<u64>,
-}
-
-impl ParallelHook for CpuModelHook<'_> {
-    fn execute(
-        &mut self,
-        interp: &mut Interp,
-        jobs: &[NodeId],
-        parent_env: culi_core::EnvId,
-        results: &mut Vec<NodeId>,
-    ) -> culi_core::Result<()> {
-        // Swap the pooled buffer out for the duration of this section: a
-        // *nested* ||| inside a job re-enters execute and must not clobber
-        // the outer section's cycles (the nested level simply starts from
-        // a fresh buffer, as the pre-pooling code did per section).
-        let mut cycles = std::mem::take(&mut self.job_cycles);
-        cycles.clear();
-        for (w, &job) in jobs.iter().enumerate() {
-            let env = interp.envs.push(Some(parent_env));
-            let before = interp.meter.snapshot();
-            let nested_before = self.job_counters;
-            let value = match eval(interp, self, job, env, 0) {
-                Ok(v) => v,
-                Err(e) => {
-                    self.job_cycles = cycles;
-                    return Err(CuliError::WorkerFailed {
-                        worker: w,
-                        message: e.to_string(),
-                    });
-                }
-            };
-            let delta = interp.meter.snapshot().delta_since(&before);
-            let nested = self.job_counters.delta_since(&nested_before);
-            let own = delta.delta_since(&nested);
-            self.job_counters.add(&own);
-            cycles.push(crate::phases::counters_to_cycles(&self.costs, &own));
-            results.push(value);
-        }
-        let outcome = self.machine.parallel_section(&cycles);
-        self.job_cycles = cycles;
-        match outcome {
-            Ok(report) => {
-                self.sections.push(report);
-                Ok(())
-            }
-            Err(e) => {
-                let msg = e.to_string();
-                self.sim_error = Some(e);
-                Err(CuliError::Backend(msg))
-            }
-        }
     }
 }
 
@@ -1486,67 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn fork_per_section_mode_works_end_to_end() {
-        let mut r = CpuRepl::launch(
-            intel_e5_2620(),
-            CpuReplConfig {
-                interp: InterpConfig {
-                    arena_capacity: 1 << 16,
-                    ..Default::default()
-                },
-                mode: CpuMode::ForkPerSection { threads: 3 },
-                ..Default::default()
-            },
-        );
-        r.submit("(defun sq (x) (* x x))").unwrap();
-        let reply = r.submit("(||| 4 sq (1 2 3 4))").unwrap();
-        assert_eq!(reply.output, "(1 4 9 16)");
-        assert!(r.interp_mut().clone_count() > 0, "the baseline clones");
-    }
-
-    #[test]
-    fn fork_per_section_batches_match_submit_loop() {
-        // The baseline rides the same BatchScheduler: staged sections
-        // execute eagerly through ForkPerSectionHook, barriers drain, and
-        // replies (counters included) match its own submit loop.
-        let make = || {
-            CpuRepl::launch(
-                intel_e5_2620(),
-                CpuReplConfig {
-                    interp: InterpConfig {
-                        arena_capacity: 1 << 16,
-                        ..Default::default()
-                    },
-                    mode: CpuMode::ForkPerSection { threads: 3 },
-                    ..Default::default()
-                },
-            )
-        };
-        let mut a = make();
-        let mut b = make();
-        let prelude = "(defun sq (x) (* x x))";
-        a.submit(prelude).unwrap();
-        b.submit(prelude).unwrap();
-        let inputs = [
-            "(||| 3 sq (1 2 3))",
-            "(||| 2 sq (list 4 5))",
-            "(setq g 7)", // barrier
-            "(||| 2 + (1 2) (list g g))",
-            "(||| 2 / (1 1) (0 1))", // worker error
-            "(||| 3 sq (4 5 6))",
-        ];
-        let batched = b.submit_batch(&inputs).unwrap();
-        for (src, got) in inputs.iter().zip(&batched) {
-            let want = a.submit(src).unwrap();
-            assert_eq!(want.output, got.output, "{src}");
-            assert_eq!(want.ok, got.ok, "{src}");
-            if want.ok {
-                assert_eq!(want.counters, got.counters, "{src}");
-            }
-        }
-    }
-
-    #[test]
     fn batch_pipelines_sections_and_matches_submit_loop() {
         let prelude = "(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))";
         let section = "(||| 4 fib (4 5 6 7))";
@@ -1667,28 +756,6 @@ mod tests {
     }
 
     #[test]
-    fn syntactic_classifier_still_barriers_computed_operands() {
-        // The retained PR 3 baseline must keep its old (narrower)
-        // behaviour: correct results via the synchronous path.
-        let mut r = CpuRepl::launch(
-            intel_e5_2620(),
-            CpuReplConfig {
-                interp: InterpConfig {
-                    arena_capacity: 1 << 16,
-                    ..Default::default()
-                },
-                mode: CpuMode::Threaded { threads: 2 },
-                batch_classifier: BatchClassifier::SyntacticInert,
-                ..Default::default()
-            },
-        );
-        let replies = r
-            .submit_batch(&["(setq g 3)", "(||| 2 + (1 2) (list g g))"])
-            .unwrap();
-        assert_eq!(replies[1].output, "(4 5)");
-    }
-
-    #[test]
     fn cpu_phases_dominated_by_eval() {
         // Paper Fig. 18: on CPUs parsing and printing are almost
         // negligible; evaluation dominates.
@@ -1706,8 +773,15 @@ mod tests {
     #[test]
     fn sessions_survive_errors() {
         let mut r = modeled();
-        assert!(!r.submit("(car 5)").unwrap().ok);
-        assert_eq!(r.submit("(+ 1 1)").unwrap().output, "2");
+        let err = r.submit("(car 5)").unwrap();
+        assert!(!err.ok);
+        assert!(err.wall_ns > 0, "error replies are timed too");
+        let parse_err = r.submit("(+ 1").unwrap();
+        assert!(!parse_err.ok);
+        assert!(parse_err.wall_ns > 0);
+        let ok = r.submit("(+ 1 1)").unwrap();
+        assert_eq!(ok.output, "2");
+        assert!(ok.wall_ns > 0, "modeled replies report wall time");
     }
 
     #[test]

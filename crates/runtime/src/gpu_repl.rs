@@ -5,11 +5,14 @@
 //! parses, evaluates and prints entirely "on the device", and the postbox
 //! machinery executing `|||` sections across worker blocks (Figs. 10–13).
 //!
-//! The interpreter runs for real; the device contributes *time*: every
-//! operation the interpreter counts is priced by the device's cost table,
-//! master-serial work advances the kernel clock, and parallel sections go
-//! through the simulated Algorithm-1 choreography (which is where the
-//! warp-livelock ablations bite).
+//! The interpreter runs for real, through the same
+//! `Pipeline` as the CPU sessions; the device
+//! contributes *time*. Every operation the interpreter counts is priced by
+//! the device's cost table, master-serial work advances the kernel clock,
+//! and parallel sections go through the simulated Algorithm-1
+//! choreography (which is where the warp-livelock ablations bite). What
+//! is GPU-specific is only the command-buffer handshake around each
+//! pipeline run.
 //!
 //! # Multi-device sharding
 //!
@@ -21,35 +24,28 @@
 //! [`GpuRepl::submit_batch`] — driven by the shared
 //! [`crate::scheduler::BatchScheduler`] — round-robins independent
 //! stageable runs across the devices, re-sequencing replies into
-//! submission order. Commands are still *evaluated* in submission order
-//! on the session's one interpreter (stageable runs are provably pure, so
-//! evaluation order cannot be observed — the same argument that lets the
-//! CPU pool stage ahead), which keeps replies and per-command
-//! [`CommandCounters`] **bit-identical to the single-device path**; what
-//! shards is the *modeled time*: each run's upload, master compute and
-//! reply handshake are charged to its own device's clock and buffer, so a
+//! submission order. Commands are parsed once, at classification, and
+//! still *evaluated* in submission order on the session's one
+//! interpreter (stageable runs are provably pure, so evaluation order
+//! cannot be observed — the same argument that lets the CPU pool stage
+//! ahead), which keeps replies and per-command [`crate::CommandCounters`]
+//! **bit-identical to the single-device path**; what shards is the
+//! *modeled time*: each run's upload, parse, master compute and reply
+//! handshake are charged to its own device's clock and buffer, so a
 //! device-bound batch's modeled makespan
 //! ([`GpuRepl::elapsed_device_ns`], the max over the per-device clocks)
 //! drops by up to the device count. Barriers (defines, host I/O, parse
 //! errors) drain the pipeline and run on device 0, the interactive
 //! `submit` device.
 
-use crate::cache::{CommandCache, FingerprintTracker, ReplyTicket};
-use crate::cpu_repl::BatchClassifier;
 use crate::error::{Result, RuntimeError};
-use crate::phases::{breakdown, counters_to_cycles, CommandCounters};
+use crate::pipeline::{Command, Modeled, Pipeline};
 use crate::reply::Reply;
 use crate::scheduler::{BatchScheduler, ExecQueue, Verdict};
-use culi_core::cost::Counters;
-use culi_core::eval::{eval, ParallelHook};
 use culi_core::fault::{FaultPlan, FaultSite};
-use culi_core::structhash::StructKey;
-use culi_core::{CuliError, ErrorCode, Interp, InterpConfig, NodeId};
+use culi_core::{ErrorCode, InterpConfig};
 use culi_gpu_sim::cmdbuf::CommandBuffer;
-use culi_gpu_sim::{
-    CostTable, DeviceSpec, KernelConfig, PersistentKernel, SectionReport, SimError, SimStats,
-};
-use std::collections::HashMap;
+use culi_gpu_sim::{DeviceSpec, KernelConfig, PersistentKernel, SimError, SimStats};
 
 /// Configuration for a GPU session.
 #[derive(Debug, Clone)]
@@ -80,7 +76,7 @@ pub struct GpuReplConfig {
     /// default) leaves every path uncached; `Some` enables the verdict
     /// and reply tiers for [`GpuRepl::submit_batch`] streams. Replies
     /// served from cache are bit-identical to the uncached run.
-    pub cache: Option<CommandCache>,
+    pub cache: Option<crate::CommandCache>,
 }
 
 impl Default for GpuReplConfig {
@@ -110,32 +106,20 @@ struct GpuDevice {
 /// A live CuLi session on one or more simulated GPUs.
 #[derive(Debug)]
 pub struct GpuRepl {
-    interp: Interp,
+    pipe: Pipeline,
     /// The session's devices; index 0 is the interactive/barrier device.
     devices: Vec<GpuDevice>,
-    config: GpuReplConfig,
+    fault_plan: FaultPlan,
     /// Reused per-job cycle scratch for the section hook.
     scratch_cycles: Vec<u64>,
     /// Round-robin cursor for sharding batched runs across devices.
     next_device: usize,
-    /// Reply slots written off by a degradable dispatch failure, awaiting
-    /// the scheduler's sequential fallback ([`ExecQueue::take_failed`]).
-    degraded_slots: Vec<usize>,
-    /// Incremental classifier-environment fingerprint (verdict-tier key
-    /// dimension; see [`crate::cache`] module docs).
-    fingerprint: FingerprintTracker,
-    /// Reply-tier store tickets recorded at classify time for cache
-    /// misses of classified-pure commands, keyed by batch slot and
-    /// consumed when the slot's `Ok` reply is produced.
-    pending_store: HashMap<usize, ReplyTicket>,
 }
 
 impl GpuRepl {
     /// Boots the session: allocates the interpreter state in "device
     /// memory" and launches one persistent kernel per configured device.
     pub fn launch(spec: DeviceSpec, config: GpuReplConfig) -> Self {
-        let mut interp = Interp::new(config.interp.clone());
-        interp.host_io = config.host_io.clone();
         let devices = (0..config.device_count.max(1))
             .map(|_| GpuDevice {
                 kernel: PersistentKernel::launch(spec, config.kernel),
@@ -143,14 +127,17 @@ impl GpuRepl {
             })
             .collect();
         Self {
-            interp,
+            pipe: Pipeline::new(
+                spec,
+                &config.interp,
+                config.host_io,
+                config.gc_between_commands,
+                config.cache,
+            ),
             devices,
-            config,
+            fault_plan: config.fault_plan,
             scratch_cycles: Vec::new(),
             next_device: 0,
-            degraded_slots: Vec::new(),
-            fingerprint: FingerprintTracker::new(),
-            pending_store: HashMap::new(),
         }
     }
 
@@ -170,8 +157,8 @@ impl GpuRepl {
     }
 
     /// Direct access to the interpreter (tests/diagnostics).
-    pub fn interp_mut(&mut self) -> &mut Interp {
-        &mut self.interp
+    pub fn interp_mut(&mut self) -> &mut culi_core::Interp {
+        &mut self.pipe.interp
     }
 
     /// Submits one command line through the full host→device→host path
@@ -184,19 +171,8 @@ impl GpuRepl {
         if !self.is_running() {
             return Err(RuntimeError::SessionClosed);
         }
-        let transfer_before = self.devices[0].cmdbuf.transfer_ns();
-        self.devices[0].cmdbuf.host_write(input.as_bytes())?;
-        let taken = self.devices[0].cmdbuf.device_take()?;
-        debug_assert_eq!(taken, input.as_bytes());
-        let overhead = self.spec().command_overhead_cycles;
-        let mut reply = self.process_command(0, input, overhead)?;
-        self.devices[0]
-            .cmdbuf
-            .device_reply(reply.output.as_bytes())?;
-        let echoed = self.devices[0].cmdbuf.host_read()?;
-        debug_assert_eq!(echoed, reply.output.as_bytes());
-        reply.phases.transfer_ns = self.devices[0].cmdbuf.transfer_ns() - transfer_before;
-        Ok(reply)
+        let cmd = self.pipe.parse(input);
+        self.serve(input, &cmd)
     }
 
     /// Session-server routing hook, mirroring `CpuRepl::submit_reference`:
@@ -228,20 +204,18 @@ impl GpuRepl {
     /// through the ordinary [`GpuRepl::submit`] handshake on device 0
     /// after the pipeline drains.
     ///
-    /// Outputs and per-command [`CommandCounters`] are identical to a
-    /// `submit` loop at **any** device count (evaluation is untouched —
-    /// batching only amortizes transfer latency and dispatch overhead,
-    /// sharding only splits which clock the time lands on); per-command
-    /// [`crate::PhaseBreakdown::transfer_ns`] differs by construction,
-    /// with a run's upload attributed to its first command and its reply
-    /// handshake to its last.
+    /// Outputs and per-command [`crate::CommandCounters`] are identical
+    /// to a `submit` loop at **any** device count (evaluation is
+    /// untouched — batching only amortizes transfer latency and dispatch
+    /// overhead, sharding only splits which clock the time lands on);
+    /// per-command [`crate::PhaseBreakdown::transfer_ns`] differs by
+    /// construction, with a run's upload attributed to its first command
+    /// and its reply handshake to its last.
     pub fn submit_batch(&mut self, inputs: &[&str]) -> Result<Vec<Reply>> {
         if !self.is_running() {
             return Err(RuntimeError::SessionClosed);
         }
-        // Store tickets never outlive their batch (slot numbers are only
-        // meaningful within one).
-        self.pending_store.clear();
+        self.pipe.begin_batch();
         BatchScheduler::submit_batch(self, inputs)
     }
 
@@ -254,208 +228,102 @@ impl GpuRepl {
     /// sequential fallback.
     pub const HANDSHAKE_RETRIES: usize = 2;
 
-    /// Charge-free host-side classification: parse (unmetered, the
-    /// garbage is collected before the run is processed) and apply the
-    /// same [`culi_core::effects`] rule the CPU pipeline stages under.
-    fn classify_stageable(&mut self, input: &str) -> bool {
-        let global = self.interp.global;
-        self.interp.unmetered(
-            |interp| match culi_core::parser::parse(interp, input.as_bytes()) {
-                Ok(forms) => {
-                    forms.len() == 1
-                        && culi_core::effects::stageable_parallel_section(interp, global, forms[0])
-                }
-                Err(_) => false,
-            },
-        )
+    /// Runs a parsed command through the pipeline on device `dev`'s master
+    /// thread, charging `overhead` extra cycles for the REPL spin-wake.
+    /// The reply's `transfer_ns` is 0: the caller owns the handshake.
+    fn run_on(&mut self, dev: usize, cmd: &Command, overhead: u64) -> Result<Reply> {
+        let mut backend = Modeled::new(&mut self.devices[dev].kernel, &mut self.scratch_cycles);
+        self.pipe.execute(&mut backend, cmd, overhead)
     }
 
-    /// Consumes `slot`'s reply-tier store ticket if its command really
-    /// produced the successful reply the ticket anticipated (mirrors
-    /// `CpuRepl::maybe_cache_store`). Error and degraded replies drop
-    /// through; their tickets die with the batch.
-    fn maybe_cache_store(&mut self, slot: usize, reply: &Reply) {
-        if !reply.ok || reply.code != ErrorCode::Ok {
-            return;
-        }
-        let Some(t) = self.pending_store.remove(&slot) else {
-            return;
-        };
-        if let Some(cache) = &self.config.cache {
-            debug_assert_eq!(self.interp.envs.sync_epoch(), t.epoch);
-            cache.reply_insert(t.key, &t.text, t.epoch, reply.clone());
-        }
+    /// One command through the interactive handshake on device 0: upload
+    /// `input`, run `cmd` (its parse), reply.
+    fn serve(&mut self, input: &str, cmd: &Command) -> Result<Reply> {
+        let upload_ns = self.upload(0, input.as_bytes())?;
+        let overhead = self.spec().command_overhead_cycles;
+        let mut reply = self.run_on(0, cmd, overhead)?;
+        reply.phases.transfer_ns = upload_ns + self.download(0, reply.output.as_bytes())?;
+        Ok(reply)
     }
 
-    /// Parse/evaluate/print one already-uploaded command on device
-    /// `dev`'s master thread, charging `dispatch_overhead` extra cycles
-    /// for the REPL spin-wake. Produces a [`Reply`] with
-    /// `transfer_ns == 0` — the caller owns the handshake and attributes
-    /// transfer time. Lisp-level errors become `ok == false` replies;
-    /// device-level failures are [`RuntimeError`]s.
-    fn process_command(
-        &mut self,
-        dev: usize,
-        input: &str,
-        dispatch_overhead: u64,
-    ) -> Result<Reply> {
-        let costs = self.spec_costs();
-        // Containment is per command: each command gets the session's full
-        // fuel budget, so the paper-model counters stay valid up to an
-        // abort and one runaway command cannot starve the next.
-        self.interp.meter.arm_fuel(self.config.interp.fuel_budget);
-        let m0 = self.interp.meter.snapshot();
-        let parse_result = culi_core::parser::parse(&mut self.interp, input.as_bytes());
-        let parse_counters = self.interp.meter.snapshot().delta_since(&m0);
-        self.devices[dev]
-            .kernel
-            .master_compute(counters_to_cycles(&costs, &parse_counters))?;
-        let forms = match parse_result {
-            Ok(forms) => forms,
-            Err(e) => {
-                return Ok(self.error_reply(
-                    e,
-                    CommandCounters {
-                        parse: parse_counters,
-                        ..Default::default()
-                    },
-                ));
+    /// Host→device upload on device `dev`; returns the transfer ns.
+    fn upload(&mut self, dev: usize, bytes: &[u8]) -> Result<u64> {
+        let cmdbuf = &mut self.devices[dev].cmdbuf;
+        let t0 = cmdbuf.transfer_ns();
+        cmdbuf.host_write(bytes)?;
+        let taken = cmdbuf.device_take()?;
+        debug_assert_eq!(taken, bytes);
+        Ok(cmdbuf.transfer_ns() - t0)
+    }
+
+    /// Device→host reply on device `dev`; returns the transfer ns.
+    fn download(&mut self, dev: usize, bytes: &[u8]) -> Result<u64> {
+        let cmdbuf = &mut self.devices[dev].cmdbuf;
+        let t0 = cmdbuf.transfer_ns();
+        cmdbuf.device_reply(bytes)?;
+        let echoed = cmdbuf.host_read()?;
+        debug_assert_eq!(echoed, bytes);
+        Ok(cmdbuf.transfer_ns() - t0)
+    }
+
+    /// Uploads a run as one command buffer on device `dev`, runs each
+    /// command through the pipeline and ships the joined replies back.
+    fn run_batched(&mut self, dev: usize, run: &[GpuStaged<'_>]) -> Result<Vec<(usize, Reply)>> {
+        let blob = run.iter().map(|s| s.input).collect::<Vec<_>>().join("\n");
+        let overhead = self.spec().command_overhead_cycles;
+        // Bounded retry: a dropped reply handshake leaves the buffer
+        // host-owned, so the host re-drives the whole run. Staged
+        // commands are provably pure, so re-evaluating them is invisible
+        // and their replies (output and counters) are bit-identical —
+        // only the modeled transfer time records the extra round trips.
+        // Past the retry budget the run's slots are written off for the
+        // scheduler's sequential fallback.
+        let mut attempts = 0usize;
+        loop {
+            let upload_ns = self.upload(dev, blob.as_bytes())?;
+            let mut replies: Vec<(usize, Reply)> = Vec::with_capacity(run.len());
+            for (k, staged) in run.iter().enumerate() {
+                // One spin wake per run: charge the dispatch overhead on
+                // the run's first command only.
+                let o = if k == 0 { overhead } else { 0 };
+                replies.push((staged.slot, self.run_on(dev, &staged.cmd, o)?));
             }
-        };
-
-        // --- Evaluate (master + workers) --------------------------------
-        let m1 = self.interp.meter.snapshot();
-        let global = self.interp.global;
-        let mut hook = GpuHook {
-            kernel: &mut self.devices[dev].kernel,
-            costs,
-            job_counters: Counters::default(),
-            sections: Vec::new(),
-            sim_error: None,
-            job_cycles: std::mem::take(&mut self.scratch_cycles),
-        };
-        let mut last: Option<NodeId> = None;
-        let mut eval_error: Option<CuliError> = None;
-        for form in forms {
-            match eval(&mut self.interp, &mut hook, form, global, 0) {
-                Ok(v) => last = Some(v),
-                Err(e) => {
-                    eval_error = Some(e);
-                    break;
-                }
+            let mut joined = replies
+                .iter()
+                .map(|(_, r)| r.output.as_str())
+                .collect::<Vec<_>>()
+                .join("\n");
+            // Individual outputs are bounded by the interpreter's output
+            // capacity, but a whole run's joined reply may still overrun
+            // the command buffer — and a failed `device_reply` would
+            // leave the device owning the buffer forever. Ship a short
+            // overflow notice instead: the per-command replies are
+            // already complete device-side (a real host would re-fetch
+            // them one by one), and the session stays live.
+            if joined.len() > self.devices[dev].cmdbuf.capacity() {
+                joined = format!("!culi:batch-reply-overflow:{}", joined.len());
             }
-        }
-        self.scratch_cycles = hook.job_cycles;
-        let sections = hook.sections;
-        let job_counters = hook.job_counters;
-        if let Some(sim) = hook.sim_error {
-            return Err(RuntimeError::Device(sim));
-        }
-        let eval_total = self.interp.meter.snapshot().delta_since(&m1);
-        // Master-side evaluation work excludes what the workers executed
-        // (that time lives inside the sections' execute phase). The REPL
-        // dispatch overhead (spin wake, loop re-entry, signalling) is
-        // charged here too — the paper folds all device time into the
-        // three phases; batched runs pay it once, on their first command.
-        let eval_master = eval_total.delta_since(&job_counters);
-        let section_cycles: u64 =
-            sections.iter().map(|s| s.total_cycles()).sum::<u64>() + dispatch_overhead;
-        self.devices[dev]
-            .kernel
-            .master_compute(counters_to_cycles(&costs, &eval_master) + dispatch_overhead)?;
-        if let Some(e) = eval_error {
-            return Ok(self.error_reply(
-                e,
-                CommandCounters {
-                    parse: parse_counters,
-                    eval_master,
-                    jobs: job_counters,
-                    ..Default::default()
-                },
-            ));
-        }
-
-        // --- Print (master thread) ---------------------------------------
-        let m2 = self.interp.meter.snapshot();
-        let output = match last {
-            Some(node) => match culi_core::printer::print_to_string(&mut self.interp, node) {
-                Ok(s) => s,
-                Err(e) => {
-                    let print_counters = self.interp.meter.snapshot().delta_since(&m2);
-                    return Ok(self.error_reply(
-                        e,
-                        CommandCounters {
-                            parse: parse_counters,
-                            eval_master,
-                            jobs: job_counters,
-                            print: print_counters,
-                        },
-                    ));
+            if self.fault_plan.poll(FaultSite::DeviceReply).is_some() {
+                self.devices[dev].cmdbuf.arm_reply_drop();
+            }
+            match self.download(dev, joined.as_bytes()) {
+                Ok(reply_ns) => {
+                    replies[0].1.phases.transfer_ns += upload_ns;
+                    let last = replies.len() - 1;
+                    replies[last].1.phases.transfer_ns += reply_ns;
+                    return Ok(replies);
                 }
-            },
-            None => String::new(),
-        };
-        let print_counters = self.interp.meter.snapshot().delta_since(&m2);
-        self.devices[dev]
-            .kernel
-            .master_compute(counters_to_cycles(&costs, &print_counters))?;
-
-        if self.config.gc_between_commands {
-            culi_core::gc::collect(&mut self.interp, &[]);
-        }
-
-        let phases = breakdown(
-            &self.spec(),
-            &parse_counters,
-            &eval_master,
-            &print_counters,
-            section_cycles,
-            0,
-        );
-        Ok(Reply {
-            output,
-            ok: true,
-            code: ErrorCode::Ok,
-            phases,
-            counters: CommandCounters {
-                parse: parse_counters,
-                eval_master,
-                jobs: job_counters,
-                print: print_counters,
-            },
-            sections,
-            wall_ns: 0,
-        })
-    }
-
-    fn spec_costs(&self) -> CostTable {
-        self.devices[0].kernel.spec().costs
-    }
-
-    /// Renders a Lisp error as a printed reply (the REPL survives). The
-    /// caller owns the command-buffer handshake and transfer attribution.
-    fn error_reply(&mut self, e: CuliError, counters: CommandCounters) -> Reply {
-        let code = e.code();
-        let output = format!("error: {e}");
-        if self.config.gc_between_commands {
-            culi_core::gc::collect(&mut self.interp, &[]);
-        }
-        let phases = breakdown(
-            &self.spec(),
-            &counters.parse,
-            &counters.eval_master,
-            &counters.print,
-            0,
-            0,
-        );
-        Reply {
-            output,
-            ok: false,
-            code,
-            phases,
-            counters,
-            sections: Vec::new(),
-            wall_ns: 0,
+                Err(RuntimeError::Device(SimError::ReplyDropped))
+                    if attempts < Self::HANDSHAKE_RETRIES =>
+                {
+                    attempts += 1;
+                }
+                Err(RuntimeError::Device(SimError::ReplyDropped)) => {
+                    self.pipe.degraded_slots.extend(run.iter().map(|s| s.slot));
+                    return Err(SimError::ReplyDropped.into());
+                }
+                Err(e) => return Err(e),
+            }
         }
     }
 
@@ -515,12 +383,15 @@ impl GpuRepl {
     }
 }
 
-/// One stageable GPU batch command: raw input text awaiting upload, plus
-/// its reply slot. Opaque scheduler token — see [`ExecQueue::Staged`].
+/// One parsed GPU batch command awaiting upload: its input text, its
+/// reply slot and its parsed forms (GC-rooted until it runs). Opaque
+/// scheduler token — both [`ExecQueue::Staged`] and
+/// [`ExecQueue::Barrier`].
 #[derive(Debug)]
 pub struct GpuStaged<'i> {
     input: &'i str,
     slot: usize,
+    cmd: Command,
 }
 
 /// One dispatched (and, in the simulation, already-processed) GPU run:
@@ -531,7 +402,7 @@ pub struct GpuRun(Vec<(usize, Reply)>);
 
 impl<'i> ExecQueue<'i> for GpuRepl {
     type Staged = GpuStaged<'i>;
-    type Barrier = &'i str;
+    type Barrier = GpuStaged<'i>;
     type Run = GpuRun;
 
     fn max_run_len(&self) -> usize {
@@ -556,189 +427,35 @@ impl<'i> ExecQueue<'i> for GpuRepl {
         &mut self,
         input: &'i str,
         slot: usize,
-    ) -> Result<Verdict<GpuStaged<'i>, &'i str>> {
-        let Some(cache) = self.config.cache.clone() else {
-            return Ok(if self.classify_stageable(input) {
-                Verdict::Stage(GpuStaged { input, slot })
-            } else {
-                Verdict::Barrier(input)
-            });
-        };
-        // Cached classification (charge-free, like classify_stageable:
-        // the look-ahead parse is unmetered and its garbage is collected
-        // before the run is processed). The epoch captured here is
-        // exactly the environment state this command executes against —
-        // earlier barriers already ran, in-flight staged commands are
-        // pure.
-        enum Classified {
-            Hit(Box<Reply>),
-            Miss {
-                stageable: bool,
-                ticket: Option<ReplyTicket>,
-            },
-        }
-        let global = self.interp.global;
-        let fingerprint = &mut self.fingerprint;
-        let outcome = self.interp.unmetered(|interp| {
-            let Ok(forms) = culi_core::parser::parse(interp, input.as_bytes()) else {
-                // The parse error itself replays through the barrier path.
-                return Classified::Miss {
-                    stageable: false,
-                    ticket: None,
-                };
-            };
-            let key = StructKey::of_forms(interp, &forms);
-            let epoch = interp.envs.sync_epoch();
-            if let Some(reply) = cache.reply_lookup(&key, input, epoch) {
-                return Classified::Hit(Box::new(reply));
-            }
-            let classify = |interp: &Interp, f| {
-                culi_core::effects::stageable_parallel_section(interp, global, f)
-            };
-            let stageable = forms.len() == 1
-                && match fingerprint
-                    .fingerprint(interp, BatchClassifier::EffectAnalysis.fingerprint_tag())
-                {
-                    Some(fp) => {
-                        // Slice the single-form key out of the command key
-                        // instead of re-walking the tree.
-                        let fkey = key
-                            .single_form()
-                            .unwrap_or_else(|| StructKey::of(interp, forms[0]));
-                        match cache.verdict_lookup(&fkey, fp) {
-                            Some(v) => v,
-                            None => {
-                                let v = classify(interp, forms[0]);
-                                cache.verdict_insert(fkey, fp, v);
-                                v
-                            }
-                        }
-                    }
-                    None => classify(interp, forms[0]),
-                };
-            let pure = stageable
-                || forms
-                    .iter()
-                    .all(|&f| culi_core::effects::expr_is_pure(interp, global, f));
-            Classified::Miss {
-                stageable,
-                ticket: pure.then(|| ReplyTicket {
-                    key,
-                    text: input.to_string(),
-                    epoch,
-                }),
-            }
-        });
-        Ok(match outcome {
-            Classified::Hit(reply) => {
-                // The served reply replaces a whole run: collect the
-                // probe's parse garbage the way dispatch would have.
-                culi_core::gc::collect(&mut self.interp, &[]);
-                Verdict::Done(reply)
-            }
-            Classified::Miss { stageable, ticket } => {
-                if let Some(ticket) = ticket {
-                    self.pending_store.insert(slot, ticket);
-                }
-                if stageable {
-                    Verdict::Stage(GpuStaged { input, slot })
-                } else {
-                    Verdict::Barrier(input)
-                }
-            }
+    ) -> Result<Verdict<GpuStaged<'i>, GpuStaged<'i>>> {
+        Ok(match self.pipe.classify(input, slot) {
+            Verdict::Stage(cmd) => Verdict::Stage(GpuStaged { input, slot, cmd }),
+            Verdict::Barrier(cmd) => Verdict::Barrier(GpuStaged { input, slot, cmd }),
+            Verdict::Done(reply) => Verdict::Done(reply),
         })
     }
 
     fn dispatch(&mut self, run: Vec<GpuStaged<'i>>) -> Result<GpuRun> {
-        if let [lone] = run.as_slice() {
+        let replies = if let [lone] = run.as_slice() {
             // A run of one has no rendezvous to amortize: the plain
-            // submit handshake is cheaper than the batched machinery
-            // (blob join, pre-run GC, joined reply) and behaves
-            // identically — PR 4's rule, preserved.
-            let reply = self.submit(lone.input)?;
-            return Ok(GpuRun(vec![(lone.slot, reply)]));
-        }
-        // Round-robin device assignment per run.
-        let dev = self.next_device;
-        self.next_device = (self.next_device + 1) % self.devices.len();
-        // Classification parsed look-ahead trees unmetered; collect that
-        // garbage — even when between-command GC is off — so a batch's
-        // extra arena pressure stays bounded by one run's parse trees
-        // instead of the whole stream's.
-        culi_core::gc::collect(&mut self.interp, &[]);
-        let blob = run.iter().map(|s| s.input).collect::<Vec<_>>().join("\n");
-        let overhead = self.spec().command_overhead_cycles;
-        // Bounded retry: a dropped reply handshake leaves the buffer
-        // host-owned, so the host re-drives the whole run. Staged
-        // commands are provably pure, so re-evaluating them is invisible
-        // and their replies (output and counters) are bit-identical —
-        // only the modeled transfer time records the extra round trips.
-        // Past the retry budget the run's slots are written off for the
-        // scheduler's sequential fallback.
-        let mut attempts = 0usize;
-        loop {
-            let t0 = self.devices[dev].cmdbuf.transfer_ns();
-            self.devices[dev].cmdbuf.host_write(blob.as_bytes())?;
-            let taken = self.devices[dev].cmdbuf.device_take()?;
-            debug_assert_eq!(taken, blob.as_bytes());
-            let upload_ns = self.devices[dev].cmdbuf.transfer_ns() - t0;
-            let mut replies: Vec<(usize, Reply)> = Vec::with_capacity(run.len());
-            for (k, staged) in run.iter().enumerate() {
-                // One spin wake per run: charge the dispatch overhead on
-                // the run's first command only.
-                let o = if k == 0 { overhead } else { 0 };
-                let reply = self.process_command(dev, staged.input, o)?;
-                replies.push((staged.slot, reply));
-            }
-            let mut joined = replies
-                .iter()
-                .map(|(_, r)| r.output.as_str())
-                .collect::<Vec<_>>()
-                .join("\n");
-            // Individual outputs are bounded by the interpreter's output
-            // capacity, but a whole run's joined reply may still overrun
-            // the command buffer — and a failed `device_reply` would
-            // leave the device owning the buffer forever. Ship a short
-            // overflow notice instead: the per-command replies are
-            // already complete device-side (a real host would re-fetch
-            // them one by one), and the session stays live.
-            if joined.len() > self.devices[dev].cmdbuf.capacity() {
-                joined = format!("!culi:batch-reply-overflow:{}", joined.len());
-            }
-            if self
-                .config
-                .fault_plan
-                .poll(FaultSite::DeviceReply)
-                .is_some()
-            {
-                self.devices[dev].cmdbuf.arm_reply_drop();
-            }
-            let t1 = self.devices[dev].cmdbuf.transfer_ns();
-            match self.devices[dev].cmdbuf.device_reply(joined.as_bytes()) {
-                Ok(()) => {
-                    let echoed = self.devices[dev].cmdbuf.host_read()?;
-                    debug_assert_eq!(echoed, joined.as_bytes());
-                    let reply_ns = self.devices[dev].cmdbuf.transfer_ns() - t1;
-                    replies[0].1.phases.transfer_ns += upload_ns;
-                    let last = replies.len() - 1;
-                    replies[last].1.phases.transfer_ns += reply_ns;
-                    return Ok(GpuRun(replies));
-                }
-                Err(SimError::ReplyDropped) if attempts < Self::HANDSHAKE_RETRIES => {
-                    attempts += 1;
-                }
-                Err(SimError::ReplyDropped) => {
-                    self.degraded_slots.extend(run.iter().map(|s| s.slot));
-                    return Err(SimError::ReplyDropped.into());
-                }
-                Err(e) => return Err(e.into()),
-            }
-        }
+            // submit handshake is cheaper than the batched machinery and
+            // behaves identically.
+            self.serve(lone.input, &lone.cmd)
+                .map(|reply| vec![(lone.slot, reply)])
+        } else {
+            // Round-robin device assignment per run.
+            let dev = self.next_device;
+            self.next_device = (self.next_device + 1) % self.devices.len();
+            self.run_batched(dev, &run)
+        };
+        // The run's forms have been evaluated (or written off).
+        self.pipe.batch_roots.clear();
+        replies.map(GpuRun)
     }
 
     fn collect(&mut self, run: GpuRun, replies: &mut [Option<Reply>]) -> Result<()> {
         for (slot, reply) in run.0 {
-            self.maybe_cache_store(slot, &reply);
+            self.pipe.store(slot, &reply);
             replies[slot] = Some(reply);
         }
         Ok(())
@@ -746,18 +463,19 @@ impl<'i> ExecQueue<'i> for GpuRepl {
 
     fn run_barrier(
         &mut self,
-        barrier: &'i str,
+        barrier: GpuStaged<'i>,
         slot: usize,
         replies: &mut [Option<Reply>],
     ) -> Result<()> {
-        let reply = self.submit(barrier)?;
-        self.maybe_cache_store(slot, &reply);
+        self.pipe.barrier_roots.clear();
+        let reply = self.serve(barrier.input, &barrier.cmd)?;
+        self.pipe.store(slot, &reply);
         replies[slot] = Some(reply);
         Ok(())
     }
 
     fn take_failed(&mut self) -> Vec<usize> {
-        std::mem::take(&mut self.degraded_slots)
+        std::mem::take(&mut self.pipe.degraded_slots)
     }
 
     fn run_sequential(
@@ -775,72 +493,6 @@ impl<'i> ExecQueue<'i> for GpuRepl {
         }
         replies[slot] = Some(reply);
         Ok(())
-    }
-}
-
-/// The `|||` backend bridging the interpreter to one device's simulated
-/// kernel. `job_cycles` is lent by the repl and reused across sections
-/// and commands.
-struct GpuHook<'k> {
-    kernel: &'k mut PersistentKernel,
-    costs: CostTable,
-    /// All counters consumed inside worker jobs (for master/worker cost
-    /// separation).
-    job_counters: Counters,
-    sections: Vec<SectionReport>,
-    sim_error: Option<SimError>,
-    job_cycles: Vec<u64>,
-}
-
-impl ParallelHook for GpuHook<'_> {
-    fn execute(
-        &mut self,
-        interp: &mut Interp,
-        jobs: &[NodeId],
-        parent_env: culi_core::EnvId,
-        results: &mut Vec<NodeId>,
-    ) -> culi_core::Result<()> {
-        // Swap the pooled buffer out for this section: a nested ||| inside
-        // a job re-enters execute and must not clobber the outer section's
-        // cycles (the nested level starts from a fresh buffer instead).
-        let mut cycles = std::mem::take(&mut self.job_cycles);
-        cycles.clear();
-        for (w, &job) in jobs.iter().enumerate() {
-            let env = interp.envs.push(Some(parent_env));
-            let before = interp.meter.snapshot();
-            let nested_before = self.job_counters;
-            let value = match eval(interp, self, job, env, 0) {
-                Ok(v) => v,
-                Err(e) => {
-                    self.job_cycles = cycles;
-                    return Err(CuliError::WorkerFailed {
-                        worker: w,
-                        message: e.to_string(),
-                    });
-                }
-            };
-            let delta = interp.meter.snapshot().delta_since(&before);
-            // A nested ||| inside this job already accounted its own
-            // workers; bill only this job's own operations.
-            let nested = self.job_counters.delta_since(&nested_before);
-            let own = delta.delta_since(&nested);
-            self.job_counters.add(&own);
-            cycles.push(counters_to_cycles(&self.costs, &own));
-            results.push(value);
-        }
-        let outcome = self.kernel.parallel_section(&cycles);
-        self.job_cycles = cycles;
-        match outcome {
-            Ok(report) => {
-                self.sections.push(report);
-                Ok(())
-            }
-            Err(e) => {
-                let msg = e.to_string();
-                self.sim_error = Some(e);
-                Err(CuliError::Backend(msg))
-            }
-        }
     }
 }
 
@@ -874,6 +526,7 @@ mod tests {
         assert!(reply.phases.eval_cycles > 0);
         assert!(reply.phases.print_cycles > 0);
         assert!(reply.phases.transfer_ns > 0);
+        assert!(reply.wall_ns > 0, "GPU replies report wall time");
     }
 
     #[test]
@@ -1026,6 +679,10 @@ mod tests {
         assert!(!replies[1].ok);
         assert!(!replies[2].ok);
         assert_eq!(replies[3].output, "(2 3)");
+        assert!(
+            replies.iter().all(|r| r.wall_ns > 0),
+            "batched, error and barrier replies are all timed"
+        );
         // Session survives the whole batch.
         assert_eq!(r.submit("(+ 1 1)").unwrap().output, "2");
     }

@@ -9,6 +9,9 @@
 //! * [`cpu_repl::CpuRepl`] — the comparison systems: a modeled pthread
 //!   pool (figures) and a real std::thread persistent-pool backend
 //!   (functional parallelism).
+//! * `pipeline` — the one parse → eval → print → GC → [`Reply`] loop both
+//!   REPLs run, over a small backend trait (the clock the work is charged
+//!   to and the `|||` hook in use).
 //! * [`pool::WorkerPool`] — the persistent real-threads `|||` backend:
 //!   warm interpreter forks synchronized incrementally through the flat
 //!   postbox codec.
@@ -31,6 +34,7 @@ pub mod cpu_repl;
 pub mod error;
 pub mod gpu_repl;
 pub mod phases;
+mod pipeline;
 pub mod pool;
 pub mod reply;
 pub mod scheduler;
@@ -39,11 +43,11 @@ pub mod session;
 pub mod vfs;
 
 pub use cache::{CacheConfig, CacheStats, CommandCache, TierStats};
-pub use cpu_repl::{BatchClassifier, CpuMode, CpuRepl, CpuReplConfig};
+pub use cpu_repl::{CpuMode, CpuRepl, CpuReplConfig};
 pub use error::{Result, RuntimeError};
 pub use gpu_repl::{GpuRepl, GpuReplConfig};
 pub use phases::{counters_to_cycles, CommandCounters, PhaseBreakdown};
-pub use pool::{ForkPerSectionHook, ThreadedHook, WorkerPool};
+pub use pool::{ThreadedHook, WorkerPool};
 pub use reply::Reply;
 pub use scheduler::{BatchScheduler, ExecQueue, Verdict};
 pub use server::{ServerConfig, ServerStats, SessionServer, TenantId, TenantSnapshot, TenantStats};

@@ -41,7 +41,7 @@ pub struct CommandCounters {
     pub eval_master: Counters,
     /// Work evaluated inside `|||` section jobs (nested sections counted
     /// once). Backend synchronization traffic — flat-codec encode/decode,
-    /// sync replay, fork imports — is *not* paper-model work and is never
+    /// sync replay, snapshot resync — is *not* paper-model work and is never
     /// charged here or anywhere else.
     pub jobs: Counters,
     /// Print phase.

@@ -1,12 +1,12 @@
 //! Persistent worker pool for the real-threads `|||` backend.
 //!
-//! PR 1's [`ForkPerSectionHook`] (retained below as the benchmark
-//! baseline) re-cloned the *entire* interpreter — arena, environments,
-//! string table — per worker chunk on every `|||` section. This module
-//! replaces it with the architecture the paper actually describes
-//! (§III-D): workers are **persistent** and jobs travel through a compact
-//! **postbox** — and, since PR 3, the postbox is **pipelined**: dispatch
-//! of section *k+1* overlaps execution of section *k*.
+//! This is the `|||` half of the Threaded CPU session: the one command
+//! pipeline (`pipeline`) parses, evaluates, prints and meters
+//! every command, and hands each section to [`ThreadedHook`], which runs
+//! it here. Workers are **persistent** — the architecture the paper
+//! describes (§III-D) — and jobs travel through a compact **postbox**
+//! that is **pipelined**: dispatch of section *k+1* overlaps execution of
+//! section *k*.
 //!
 //! # Architecture
 //!
@@ -60,11 +60,10 @@
 //!
 //! # Isolation across sections and snapshot resync
 //!
-//! The fork-per-section design silently guaranteed that worker-side
-//! mutations of *global* state died with the fork. Persistent workers
-//! would leak them into later sections, so every worker watches its own
-//! sync log: if a section's jobs grew it (a job ran `setq`/`defun`
-//! against persistent state), the worker reports itself **dirty**. PR 2
+//! Worker-side mutations of *global* state must not leak into later
+//! sections, so every worker watches its own sync log: if a section's
+//! jobs grew it (a job ran `setq`/`defun` against persistent state), the
+//! worker reports itself **dirty**. PR 2
 //! re-forked dirty seats (a whole-interpreter clone); PR 3 instead ships
 //! an [`culi_core::postbox::EnvSnapshot`] that rebuilds the replica's
 //! persistent environments in place — structure-faithful, no clone. The
@@ -1388,6 +1387,11 @@ impl ThreadedHook {
         self.pool.is_some()
     }
 
+    /// Joins and drops the warm pool; the next section re-forks it.
+    pub fn release(&mut self) {
+        self.pool = None;
+    }
+
     /// The pool, forking it from `interp` on first use.
     pub fn pool_mut(&mut self, interp: &Interp) -> &mut WorkerPool {
         if self.pool.is_none() {
@@ -1464,93 +1468,6 @@ impl ParallelHook for ThreadedHook {
             }
             outcome => outcome,
         }
-    }
-}
-
-/// PR 1's fork-per-section backend, retained as the performance baseline
-/// and as a semantic reference: it clones the whole interpreter per worker
-/// chunk per section. `bench_pr2` and the equivalence property tests run
-/// it side by side with the pooled backend. Like the pooled backend it
-/// reports the paper-model charges of its job evaluations
-/// ([`ForkPerSectionHook::take_job_counters`]), measured inside the forks
-/// and therefore bit-identical to the sequential reference's.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ForkPerSectionHook {
-    /// Worker thread count.
-    pub threads: usize,
-    job_counters: Counters,
-}
-
-impl ForkPerSectionHook {
-    /// A fork-per-section backend over `threads` scoped threads.
-    pub fn new(threads: usize) -> Self {
-        Self {
-            threads,
-            job_counters: Counters::default(),
-        }
-    }
-
-    /// Job charges accumulated since the last call.
-    pub fn take_job_counters(&mut self) -> Counters {
-        std::mem::take(&mut self.job_counters)
-    }
-}
-
-impl ParallelHook for ForkPerSectionHook {
-    fn execute(
-        &mut self,
-        interp: &mut Interp,
-        jobs: &[NodeId],
-        parent_env: EnvId,
-        results: &mut Vec<NodeId>,
-    ) -> culi_core::Result<()> {
-        let t = self.threads.clamp(1, jobs.len().max(1));
-        // Contiguous chunks keep the order mapping trivial.
-        let chunk_size = jobs.len().div_ceil(t);
-        let template = interp.clone();
-
-        type WorkerOut = culi_core::Result<(Interp, Vec<NodeId>, Counters)>;
-        let outcomes: Vec<WorkerOut> = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (c, chunk) in jobs.chunks(chunk_size).enumerate() {
-                let mut fork = template.clone();
-                handles.push(scope.spawn(move || -> WorkerOut {
-                    let mut out = Vec::with_capacity(chunk.len());
-                    let before = fork.meter.snapshot();
-                    for (i, &job) in chunk.iter().enumerate() {
-                        let env = fork.envs.push(Some(parent_env));
-                        let v = eval(&mut fork, &mut SequentialHook, job, env, 0).map_err(|e| {
-                            CuliError::WorkerFailed {
-                                worker: c * chunk_size + i,
-                                message: e.to_string(),
-                            }
-                        })?;
-                        out.push(v);
-                    }
-                    let jobs_delta = fork.meter.snapshot().delta_since(&before);
-                    Ok((fork, out, jobs_delta))
-                }));
-            }
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
-        });
-
-        for outcome in outcomes {
-            let (fork, values, jobs_delta) = outcome?;
-            self.job_counters.add(&jobs_delta);
-            // Importing result trees is backend plumbing, not paper-model
-            // work — keep it off the master's meter (the sequential
-            // reference has no import step).
-            interp.unmetered(|i| -> culi_core::Result<()> {
-                for v in values {
-                    results.push(i.import_tree(&fork, v)?);
-                }
-                Ok(())
-            })?;
-        }
-        Ok(())
     }
 }
 
@@ -1986,16 +1903,5 @@ mod tests {
         // Fuel, not the 30 s watchdog, contained the runaway.
         assert!(started.elapsed() < WorkerPool::DEFAULT_REPLY_DEADLINE);
         assert_eq!(run(&mut i, &mut hook, "(||| 2 + (1 2) (1 1))"), "(2 3)");
-    }
-
-    #[test]
-    fn fork_per_section_baseline_still_works() {
-        let mut i = interp();
-        let mut hook = ForkPerSectionHook::new(3);
-        assert_eq!(
-            run(&mut i, &mut hook, "(||| 3 + (1 2 3) (4 5 6))"),
-            "(5 7 9)"
-        );
-        assert!(i.clone_count() > 0, "the baseline really does clone");
     }
 }

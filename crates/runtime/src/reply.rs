@@ -27,16 +27,19 @@ pub struct Reply {
     /// model; the real-threads backend reports only master-side phases).
     pub phases: PhaseBreakdown,
     /// Raw paper-model operation counters behind `phases`, split by
-    /// phase and by master-vs-worker. Backend-independent for successful
-    /// commands (the differential harness asserts it); error commands
-    /// stop at backend-dependent points, so only `parse` is comparable
-    /// there.
+    /// phase and by master-vs-worker, including the print work of a
+    /// command whose printing failed. Backend-independent for successful
+    /// commands (the differential harness asserts it). A failed command's
+    /// `parse` and `print` are backend-independent too; its job counters
+    /// are only where jobs run in order on the master (modeled CPU, GPU),
+    /// since a chunked pool worker may run past the globally-first error.
     pub counters: CommandCounters,
     /// One report per `|||` section the command executed (modeled
     /// backends only).
     pub sections: Vec<SectionReport>,
-    /// Real wall-clock nanoseconds (real-threads backend only; 0 for
-    /// modeled backends, whose time is simulated).
+    /// Real wall-clock nanoseconds from parse start to reply, on every
+    /// backend (cache hits included). Measured, not modeled: the modeled
+    /// time is `phases`.
     pub wall_ns: u64,
 }
 

@@ -9,9 +9,10 @@
 //! a barrier, and re-sequence replies into submission order. This module
 //! owns that state machine once, parameterized over a small [`ExecQueue`]
 //! trait; the REPLs shrink to thin adapters that implement the trait (the
-//! CPU worker pool and the fork-per-section baseline in
-//! [`crate::cpu_repl`], the — possibly multi-device — simulated-GPU
-//! command buffer in [`crate::gpu_repl`]).
+//! CPU worker pool in [`crate::cpu_repl`], the — possibly multi-device —
+//! simulated-GPU command buffer in [`crate::gpu_repl`]). Both classify
+//! through the same pipeline step (`Pipeline::classify`: one metered
+//! parse, the reply-cache probe, the effect-analysis verdict).
 //!
 //! One layer above sits the multi-tenant [`crate::server::SessionServer`]
 //! (PR 7): it owns *admission* — which tenant's commands enter the
@@ -29,10 +30,13 @@
 //! * [`ExecQueue::Staged`] — one classified-stageable command, prepared
 //!   up to (but not including) dispatch. For the CPU pool this is the
 //!   command's built job expressions plus its parse/stage meter counters;
-//!   for the GPU it is just the raw input text awaiting upload.
+//!   for the GPU it is the input text awaiting upload plus its parsed
+//!   forms and parse counters.
 //! * [`ExecQueue::Barrier`] — the carried state of a command that must
-//!   run synchronously: its parsed forms (so metered work is never
-//!   repeated), or the error a parse/stage attempt already produced.
+//!   run synchronously: its parsed forms or parse error (the parse is
+//!   never repeated). A CPU command whose staging failed part-way is a
+//!   barrier too; its operands are pure, so it simply re-runs
+//!   synchronously.
 //! * [`ExecQueue::Run`] — one dispatched, in-flight run awaiting
 //!   collection.
 //!
@@ -67,8 +71,8 @@
 //! A barrier verdict flushes the run being assembled, collects every
 //! in-flight run (drain), then runs the barrier command synchronously;
 //! staging resumes with the next command. The same drain-then-reply
-//! sequence serves parse errors and stage-time errors — the queue carries
-//! the error in its `Barrier` token and renders it in `run_barrier`, so
+//! sequence serves parse errors and failed stagings — the queue carries
+//! the command in its `Barrier` token and replies in `run_barrier`, so
 //! failed commands surface their reply at exactly the position a
 //! sequential `submit` loop would.
 //!

@@ -1,16 +1,14 @@
 //! Value-equivalence of the persistent pooled `|||` backend against the
-//! sequential reference (and the retained fork-per-section baseline)
-//! across randomized multi-section programs: definitions and `setq`s
+//! sequential reference across randomized multi-section programs: definitions and `setq`s
 //! between sections, worker errors, short-list errors, and nested `|||`
 //! inside workers. Every statement's printed output — including error
-//! text and failing-worker indices — must agree on all backends.
+//! text and failing-worker indices — must agree on both backends.
 //!
 //! Also home of the PR acceptance check: a warm pool runs 64 sections of
 //! 8 jobs with **zero** whole-interpreter clones.
 
-use culi_core::eval::ParallelHook;
 use culi_core::{Interp, InterpConfig};
-use culi_runtime::{CpuMode, CpuRepl, CpuReplConfig, ForkPerSectionHook};
+use culi_runtime::{CpuMode, CpuRepl, CpuReplConfig};
 use proptest::prelude::*;
 
 const PRELUDE: &[&str] = &[
@@ -71,13 +69,6 @@ fn render(s: &Stmt) -> String {
     }
 }
 
-fn run_with_hook(i: &mut Interp, hook: &mut dyn ParallelHook, src: &str) -> String {
-    match i.eval_str_with(src, hook) {
-        Ok(s) => s,
-        Err(e) => format!("error: {e}"),
-    }
-}
-
 fn small_interp() -> Interp {
     Interp::new(InterpConfig {
         arena_capacity: 1 << 16,
@@ -103,18 +94,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The pooled backend is value-identical (outputs *and* error text) to
-    /// the sequential reference and the fork-per-section baseline over
-    /// whole randomized programs.
+    /// the sequential reference over whole randomized programs.
     #[test]
     fn pooled_threaded_matches_sequential(stmts in prop::collection::vec(stmt(), 1..10)) {
         let mut reference = small_interp();
-        let mut fork_ref = small_interp();
-        let mut fork_hook = ForkPerSectionHook::new(3);
         let mut pooled = threaded_repl(3);
 
         for line in PRELUDE {
             reference.eval_str(line).unwrap();
-            fork_ref.eval_str_with(line, &mut fork_hook).unwrap();
             pooled.submit(line).unwrap();
         }
         for (k, s) in stmts.iter().enumerate() {
@@ -123,10 +110,8 @@ proptest! {
                 Ok(out) => out,
                 Err(e) => format!("error: {e}"),
             };
-            let forked = run_with_hook(&mut fork_ref, &mut fork_hook, &src);
             let pool = pooled.submit(&src).unwrap().output;
             prop_assert_eq!(&seq, &pool, "stmt {}: {} (pooled)", k, src);
-            prop_assert_eq!(&seq, &forked, "stmt {}: {} (fork baseline)", k, src);
         }
     }
 }

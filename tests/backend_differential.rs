@@ -3,31 +3,31 @@
 //! `|||` sections (nested ones included, plus computed worker counts,
 //! `(list …)` operands and conditional operands that exercise the
 //! effect-analysis staging rule), worker errors, short-list errors and
-//! GC-pressure loops — run through four `|||` backends:
+//! GC-pressure loops — run through every `|||` backend:
 //!
-//! 1. **sequential** — the modeled CPU pipeline (jobs evaluate inline on
-//!    the master, separated by the model hook);
-//! 2. **fork-per-section** — PR 1's whole-interpreter-clone baseline;
-//! 3. **pooled** — the persistent worker pool, one rendezvous per
+//! 1. **sequential** — the modeled CPU pipeline (jobs evaluate in order
+//!    on the master, separated by the model hook): the reference;
+//! 2. **pooled** — the persistent worker pool, one rendezvous per
 //!    command (`submit` loop);
-//! 4. **pipelined** — the same pool driven through the shared
+//! 3. **pipelined** — the same pool driven through the shared
 //!    `BatchScheduler` (`submit_batch`);
-//! 5. **fork-batched** — the fork-per-section baseline driven through
-//!    the same scheduler (PR 5: every parallel backend implements the
-//!    `ExecQueue` staging hooks);
-//! 6. **gpu×{1,2,4}** — the simulated-GPU session's batched command
-//!    buffers at one, two and four sharded devices (PR 5: round-robined
-//!    runs must be bit-identical to the single-device path and to the
-//!    modeled-sequential reference — sharding may only move modeled
-//!    time between device clocks).
+//! 4. **gpu×{1,2,4}** — the simulated-GPU session's batched command
+//!    buffers at one, two and four sharded devices (round-robined runs
+//!    must be bit-identical to the single-device path and to the
+//!    sequential reference — sharding may only move modeled time between
+//!    device clocks);
+//! 5. **cache** — pipelined CPU and GPU sessions with the structural-hash
+//!    command cache on, cold and warm.
 //!
 //! Every command's printed reply (error text included) must be
 //! byte-identical across all arms, and every *successful* command's
 //! paper-model meter charges ([`culi::runtime::CommandCounters`]) must
 //! be bit-identical too — parse, master-eval, per-job and print counters
-//! alike. (Failed commands stop at backend-dependent points — a chunked
-//! worker keeps evaluating its own jobs past the globally-first error —
-//! so only their replies and parse counters are comparable.)
+//! alike. A failed command's parse and print counters must match on
+//! every arm; its master-eval and job counters must match wherever jobs
+//! run in order on the master (the sequential reference and every GPU
+//! arm), because only a chunked pool worker keeps evaluating its own jobs
+//! past the globally-first error.
 
 use culi::core::fault::{FaultKind, FaultPlan, FaultSite};
 use culi::core::{ErrorCode, InterpConfig};
@@ -232,10 +232,8 @@ fn check_program(seed: u64) {
     let commands: Vec<String> = (0..len).map(|_| command(&mut rng)).collect();
 
     let mut sequential = repl(CpuMode::Modeled);
-    let mut forked = repl(CpuMode::ForkPerSection { threads: 4 });
     let mut pooled = repl(CpuMode::Threaded { threads: 4 });
     let mut pipelined = repl(CpuMode::Threaded { threads: 4 });
-    let mut fork_batched = repl(CpuMode::ForkPerSection { threads: 4 });
     let mut gpus: Vec<GpuRepl> = [1, 2, 4].map(gpu_repl).into_iter().collect();
     // Cache arms (PR 8): one shared cache, tenant views per backend — the
     // CPU and GPU arms share verdict/template tiers but keep private
@@ -245,10 +243,8 @@ fn check_program(seed: u64) {
     let mut cached_gpu = gpu_repl_cached(shared_cache.tenant_view());
     for line in PRELUDE {
         sequential.submit(line).unwrap();
-        forked.submit(line).unwrap();
         pooled.submit(line).unwrap();
         pipelined.submit(line).unwrap();
-        fork_batched.submit(line).unwrap();
         cached.submit(line).unwrap();
         cached_gpu.submit(line).unwrap();
         for gpu in &mut gpus {
@@ -259,7 +255,6 @@ fn check_program(seed: u64) {
     let inputs: Vec<&str> = commands.iter().map(String::as_str).collect();
     let batched = pipelined.submit_batch(&inputs).unwrap();
     assert_eq!(batched.len(), inputs.len());
-    let fork_batch = fork_batched.submit_batch(&inputs).unwrap();
     let gpu_batches: Vec<Vec<Reply>> = gpus
         .iter_mut()
         .map(|gpu| gpu.submit_batch(&inputs).unwrap())
@@ -277,24 +272,21 @@ fn check_program(seed: u64) {
 
     for (k, src) in inputs.iter().enumerate() {
         let a = sequential.submit(src).unwrap();
-        let b = forked.submit(src).unwrap();
         let c = pooled.submit(src).unwrap();
         let d = &batched[k];
         let tag = |name: &str| format!("seed {seed} cmd {k} [{name}]: {src}");
-        compare_replies(&a, &b, &tag("fork-per-section"));
         compare_replies(&a, &c, &tag("pooled"));
         compare_replies(&a, d, &tag("pipelined"));
-        compare_replies(&a, &fork_batch[k], &tag("fork-batched"));
         compare_replies(&a, &cached_cold[k], &tag("pipelined+cache cold"));
-        compare_replies(&a, &cached_gpu_cold[k], &tag("gpu+cache cold"));
+        compare_exact(&a, &cached_gpu_cold[k], &tag("gpu+cache cold"));
         compare_replies(
             &batched_warm[k],
             &cached_warm[k],
             &tag("pipelined+cache warm"),
         );
-        compare_replies(&gpu_warm[k], &cached_gpu_warm[k], &tag("gpu+cache warm"));
+        compare_exact(&gpu_warm[k], &cached_gpu_warm[k], &tag("gpu+cache warm"));
         for (devices, replies) in [1usize, 2, 4].iter().zip(&gpu_batches) {
-            compare_replies(&a, &replies[k], &tag(&format!("gpu x{devices}")));
+            compare_exact(&a, &replies[k], &tag(&format!("gpu x{devices}")));
         }
     }
 }
@@ -302,10 +294,14 @@ fn check_program(seed: u64) {
 fn compare_replies(reference: &Reply, got: &Reply, context: &str) {
     assert_eq!(reference.output, got.output, "{context}");
     assert_eq!(reference.ok, got.ok, "{context}");
-    // Parse work is backend-independent even on failures.
+    // Parse and print work are backend-independent even on failures.
     assert_eq!(
         reference.counters.parse, got.counters.parse,
         "parse charges — {context}"
+    );
+    assert_eq!(
+        reference.counters.print, got.counters.print,
+        "print charges — {context}"
     );
     if reference.ok {
         assert_eq!(
@@ -313,6 +309,17 @@ fn compare_replies(reference: &Reply, got: &Reply, context: &str) {
             "paper-model charges — {context}"
         );
     }
+}
+
+/// [`compare_replies`] plus all four counter groups on error replies too:
+/// for arms that, like the sequential reference, evaluate jobs in order
+/// on the master, so a failed command stops at the same point.
+fn compare_exact(reference: &Reply, got: &Reply, context: &str) {
+    compare_replies(reference, got, context);
+    assert_eq!(
+        reference.counters, got.counters,
+        "paper-model charges — {context}"
+    );
 }
 
 /// Seeds to run, configurable for CI depth: `CULI_DIFF_SEEDS` (default
@@ -444,6 +451,7 @@ fn check_faulted_program(seed: u64, cpu_plan: FaultPlan, gpu_plan: FaultPlan) {
         let tag = |name: &str| format!("fault seed {seed} cmd {k} [{name}]: {src}");
         compare_faulted(&want, &cpu_batch[k], &tag("cpu faulted"));
         compare_faulted(&want, &gpu_batch[k], &tag("gpu faulted"));
+        compare_exact(&want, &gpu_batch[k], &tag("gpu faulted"));
         compare_faulted(&want, &cached_cold[k], &tag("cpu faulted+cache cold"));
     }
     // Warm pass: the reference re-runs the stream from the same state the
@@ -648,22 +656,71 @@ fn differential_survives_compaction_and_snapshot_resync() {
         "(||| 5 fibj (1 2 3 4 5))",
     ];
     let mut sequential = repl(CpuMode::Modeled);
-    let mut forked = repl(CpuMode::ForkPerSection { threads: 4 });
     let mut pooled = repl(CpuMode::Threaded { threads: 4 });
     let mut pipelined = repl(CpuMode::Threaded { threads: 4 });
     for line in PRELUDE {
         sequential.submit(line).unwrap();
-        forked.submit(line).unwrap();
         pooled.submit(line).unwrap();
         pipelined.submit(line).unwrap();
     }
     let batched = pipelined.submit_batch(&program).unwrap();
     for (k, src) in program.iter().enumerate() {
         let a = sequential.submit(src).unwrap();
-        let b = forked.submit(src).unwrap();
         let c = pooled.submit(src).unwrap();
-        compare_replies(&a, &b, &format!("cmd {k} [fork]"));
         compare_replies(&a, &c, &format!("cmd {k} [pooled]"));
         compare_replies(&a, &batched[k], &format!("cmd {k} [pipelined]"));
+    }
+}
+
+/// A print-phase error (the output buffer overflows) meters the print
+/// work it did, identically on every backend and route: modeled CPU,
+/// threaded CPU and GPU, through `submit` and `submit_batch` (a barrier,
+/// and a staged section — batched on the GPU as a run of two).
+#[test]
+fn print_errors_meter_print_identically_on_every_backend() {
+    let interp = InterpConfig {
+        arena_capacity: 1 << 16,
+        output_capacity: 4,
+        ..Default::default()
+    };
+    let cpu = |mode| {
+        CpuRepl::launch(
+            intel_e5_2620(),
+            CpuReplConfig {
+                interp: interp.clone(),
+                mode,
+                ..Default::default()
+            },
+        )
+    };
+    let gpu = || {
+        GpuRepl::launch(
+            gtx1080(),
+            GpuReplConfig {
+                interp: interp.clone(),
+                ..Default::default()
+            },
+        )
+    };
+    for src in ["(list 1 2 3 4 5)", "(||| 2 + (1 2) (list 30 40))"] {
+        let want = cpu(CpuMode::Modeled).submit(src).unwrap();
+        assert!(!want.ok, "{src}: the output must overflow");
+        assert!(want.counters.print.output_bytes > 0, "{src}: {want:?}");
+        let threaded = || cpu(CpuMode::Threaded { threads: 2 });
+        let batch = [src, src];
+        let arms = [
+            ("cpu threaded submit", threaded().submit(src).unwrap()),
+            (
+                "cpu threaded batch",
+                threaded().submit_batch(&batch).unwrap()[0].clone(),
+            ),
+            ("gpu submit", gpu().submit(src).unwrap()),
+            ("gpu batch", gpu().submit_batch(&batch).unwrap()[1].clone()),
+        ];
+        for (arm, got) in arms {
+            let context = format!("{src} [{arm}]");
+            compare_exact(&want, &got, &context);
+            assert!(got.wall_ns > 0, "{context}");
+        }
     }
 }
