@@ -83,6 +83,60 @@ pub fn fragmented_arena(capacity: usize) -> (culi_core::arena::NodeArena, culi_c
     (arena, meter)
 }
 
+/// Definitions the repeated-traffic command stream relies on.
+pub const CACHE_PRELUDE: &[&str] = &[
+    FIB_DEFUN,
+    "(defun plus (a b) (+ a b))",
+    "(defun addg (x) (+ x g))",
+    "(defun fibj (x) (fib (+ 8 (mod x 4))))",
+    "(setq g 1)",
+    "(setq xs (list 3 4 5 6 7 8))",
+];
+
+/// Repeated command traffic for the command cache: `len` commands drawn
+/// Zipf(0.99) over `universe` distinct pure commands (sections over the
+/// [`CACHE_PRELUDE`] functions plus scalar reads, each with real
+/// execution cost). Rank 0 is the hottest; the draw is seeded, so the
+/// stream is the same on every call.
+pub fn zipf_stream(universe: usize, len: usize) -> Vec<String> {
+    let commands: Vec<String> = (0..universe)
+        .map(|k| match k % 4 {
+            0 => format!(
+                "(||| 4 fibj ({} {} {} {}))",
+                k % 8,
+                (k + 3) % 8,
+                (k + 5) % 8,
+                (k + 6) % 8
+            ),
+            1 => format!("(||| 3 fibj ({k} {} {}))", k + 1, k + 2),
+            2 => format!("(||| 2 fibj ({k} {}))", k + 7),
+            _ => format!("(+ {k} (* {} g))", k % 13),
+        })
+        .collect();
+    // Rank k is drawn with probability proportional to 1 / (k+1)^0.99.
+    let mut cdf = Vec::with_capacity(universe);
+    let mut acc = 0.0;
+    for k in 0..universe {
+        acc += 1.0 / ((k + 1) as f64).powf(0.99);
+        cdf.push(acc);
+    }
+    // splitmix64
+    let mut state: u64 = 0x5eed_c0de;
+    let mut uniform = || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    };
+    (0..len)
+        .map(|_| {
+            let r = uniform() * acc;
+            commands[cdf.partition_point(|&c| c < r).min(universe - 1)].clone()
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

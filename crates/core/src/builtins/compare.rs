@@ -168,7 +168,30 @@ pub fn equal_deep(
 
 /// Structural equality over node trees (public for tests and the runtime's
 /// result validation).
+///
+/// An explicit-stack preorder walk, so no value depth can overflow the
+/// thread stack: node pairs are visited (and charged one `arith_op` each)
+/// in the same order, with the same short-circuits, as the recursive
+/// definition — compare a pair, then its children left to right. The
+/// pending pairs live in one pooled node buffer, two ids per pair, so the
+/// walk allocates nothing per level.
 pub fn deep_eq(interp: &mut Interp, a: NodeId, b: NodeId) -> bool {
+    let mut pending = interp.take_node_buf();
+    pending.extend([b, a]);
+    let mut equal = true;
+    while let (Some(a), Some(b)) = (pending.pop(), pending.pop()) {
+        if !pair_eq(interp, a, b, &mut pending) {
+            equal = false;
+            break;
+        }
+    }
+    interp.put_node_buf(pending);
+    equal
+}
+
+/// Compares one pair shallowly. For two lists of equal length, pushes
+/// their child pairs so that the first pair pops next.
+fn pair_eq(interp: &mut Interp, a: NodeId, b: NodeId, pending: &mut Vec<NodeId>) -> bool {
     interp.meter.arith_op();
     if a == b {
         return true;
@@ -177,9 +200,17 @@ pub fn deep_eq(interp: &mut Interp, a: NodeId, b: NodeId) -> bool {
     let nb = *interp.arena.get(b);
     let lists = |t: NodeType| matches!(t, NodeType::List | NodeType::Expression);
     if lists(na.ty) && lists(nb.ty) {
-        let ka = interp.arena.list_children(a);
-        let kb = interp.arena.list_children(b);
-        return ka.len() == kb.len() && ka.iter().zip(&kb).all(|(&x, &y)| deep_eq(interp, x, y));
+        if interp.arena.list_len(a) != interp.arena.list_len(b) {
+            return false;
+        }
+        let start = pending.len();
+        for (x, y) in interp.arena.iter_list(a).zip(interp.arena.iter_list(b)) {
+            pending.extend([x, y]);
+        }
+        // Pairs were pushed first-to-last as (a-child, b-child); reversing
+        // the range makes the first pair pop first, b-child below a-child.
+        pending[start..].reverse();
+        return true;
     }
     if na.ty != nb.ty {
         return false;
@@ -206,6 +237,7 @@ pub fn deep_eq(interp: &mut Interp, a: NodeId, b: NodeId) -> bool {
 
 #[cfg(test)]
 mod tests {
+    use crate::cost::Counters;
     use crate::error::CuliError;
     use crate::interp::Interp;
 
@@ -259,6 +291,45 @@ mod tests {
         assert_eq!(run("(equal (list 1 2) (list 1 2 3))"), "nil");
         assert_eq!(run("(equal 5 5)"), "T");
         assert_eq!(run("(equal 5 5.0)"), "nil", "equal is type-strict");
+    }
+
+    #[test]
+    fn equal_charges_are_pinned() {
+        // Whole-session counters after one shallow `equal`, as charged by
+        // the recursive walk the explicit-stack one replaced: same pairs,
+        // same order, same short-circuit.
+        let pinned =
+            |src: &str, out: &str, arith_ops: u64, chars_scanned: u64, output_bytes: u64| {
+                let mut i = Interp::default();
+                assert_eq!(i.eval_str(src).unwrap(), out);
+                let want = Counters {
+                    chars_scanned,
+                    nodes_alloc: 116,
+                    node_reads: 23,
+                    eval_steps: 18,
+                    env_probes: 324,
+                    symbol_cmp_bytes: 1597,
+                    arith_ops,
+                    builtin_calls: 5,
+                    output_bytes,
+                    ..Counters::default()
+                };
+                assert_eq!(i.meter.snapshot(), want, "{src}");
+            };
+        pinned(
+            "(equal (list 1 (list 2 3) \"a\") (list 1 (list 2 3) \"a\"))",
+            "T",
+            6,
+            55,
+            1,
+        );
+        pinned(
+            "(equal (list 1 (list 2 3) 4) (list 1 (list 2 5) 4))",
+            "nil",
+            5,
+            51,
+            3,
+        );
     }
 
     #[test]

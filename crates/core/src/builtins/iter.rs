@@ -3,7 +3,9 @@
 //! Both receive their bodies unevaluated and re-evaluate them per
 //! iteration; the loop variable is bound in a fresh child environment so
 //! it disappears after the loop (unlike the paper-style `let`, which binds
-//! into the current environment).
+//! into the current environment). The variable is bound once and rebound
+//! in place on every later iteration, so the loop environment does not
+//! grow with the iteration count.
 
 use super::util::{as_list_children, expect_min, nil};
 use crate::error::{CuliError, Result};
@@ -63,7 +65,9 @@ pub fn dotimes(
     let loop_env = interp.envs.push(Some(env));
     for i in 0..count {
         let idx = interp.alloc(Node::int(i))?;
-        interp.envs.define(loop_env, var, idx, &interp.strings);
+        interp
+            .envs
+            .rebind_local(loop_env, var, idx, &interp.strings);
         for &body in &args[1..] {
             eval(interp, hook, body, loop_env, depth + 1)?;
         }
@@ -85,7 +89,9 @@ pub fn dolist(
     let items = as_list_children(interp, list_val, "dolist")?;
     let loop_env = interp.envs.push(Some(env));
     for item in items {
-        interp.envs.define(loop_env, var, item, &interp.strings);
+        interp
+            .envs
+            .rebind_local(loop_env, var, item, &interp.strings);
         for &body in &args[1..] {
             eval(interp, hook, body, loop_env, depth + 1)?;
         }

@@ -386,6 +386,33 @@ impl EnvArena {
         self.log_mutation(env, sym, value, SyncKind::Define);
     }
 
+    /// Points the newest *local* binding of `sym` in `env` at `value`,
+    /// defining it when `env` has none. Unmetered, like
+    /// [`EnvArena::define`]. Loops use it to rebind their variable in
+    /// place each iteration: a define per iteration would leave one dead
+    /// binding per step that every later lookup through the loop
+    /// environment is charged for walking past.
+    pub fn rebind_local(&mut self, env: EnvId, sym: StrId, value: NodeId, strings: &StrTable) {
+        let e = &self.envs[env.index()];
+        let found = match &e.index {
+            Some(index) => index.map.get(&sym).map(|entry| entry.binding),
+            None => {
+                let mut cur = e.first;
+                while let Some(b) = cur.filter(|b| self.bindings[b.index()].sym != sym) {
+                    cur = self.bindings[b.index()].next;
+                }
+                cur
+            }
+        };
+        match found {
+            Some(b) => {
+                self.bindings[b.index()].value = value;
+                self.log_mutation(env, sym, value, SyncKind::Set);
+            }
+            None => self.define(env, sym, value, strings),
+        }
+    }
+
     /// Starts recording mutations of every environment that exists right
     /// now (the persistent set) into the sync log. Called once by
     /// [`crate::interp::Interp::new`] after the builtins are registered —

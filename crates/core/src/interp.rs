@@ -69,6 +69,9 @@ pub struct Scratch {
     pub(crate) gc_marks: Vec<u64>,
     /// GC root/traversal stack, reused across collections.
     pub(crate) gc_roots: Vec<NodeId>,
+    /// Open lists and forms of the postbox decode walk, reused across
+    /// decodes.
+    pub(crate) decode_frames: Vec<crate::postbox::DecodeFrame>,
 }
 
 /// A complete CuLi interpreter instance.

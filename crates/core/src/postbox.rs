@@ -142,6 +142,9 @@ pub struct FlatTree {
     text: TextHeap,
     /// Word offset where each tree starts.
     starts: Vec<u32>,
+    /// Reused explicit stack of the encode walk (nodes still to encode,
+    /// next on top), so no tree depth can overflow the thread stack.
+    pending: Vec<NodeId>,
 }
 
 impl FlatTree {
@@ -171,7 +174,10 @@ impl FlatTree {
     /// Bytes of heap capacity currently retained by the buffers (the
     /// quantity the pool's shrink policy bounds).
     pub fn byte_capacity(&self) -> usize {
-        self.words.capacity() * 4 + self.text.byte_capacity() + self.starts.capacity() * 4
+        self.words.capacity() * 4
+            + self.text.byte_capacity()
+            + self.starts.capacity() * 4
+            + self.pending.capacity() * 4
     }
 
     /// Caps retained capacity at roughly `budget` bytes so one oversized
@@ -182,6 +188,7 @@ impl FlatTree {
         self.words.shrink_to(budget / 8);
         self.starts.shrink_to(budget / 16);
         self.text.shrink_to_budget(budget / 4);
+        self.pending.shrink_to(budget / 16);
     }
 
     /// Overwrites `self` with `other`'s contents, reusing allocations
@@ -196,7 +203,12 @@ impl FlatTree {
     /// Appends the tree rooted at `root` to the batch.
     pub fn push_tree(&mut self, interp: &Interp, root: NodeId) {
         self.starts.push(self.words.len() as u32);
-        self.encode_node(interp, root, 0);
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.push(root);
+        while let Some(id) = pending.pop() {
+            self.encode_node(interp, id, &mut pending);
+        }
+        self.pending = pending;
     }
 
     fn push_text(&mut self, bytes: &[u8]) {
@@ -204,10 +216,9 @@ impl FlatTree {
         self.words.push(idx);
     }
 
-    fn encode_node(&mut self, interp: &Interp, id: NodeId, depth: usize) {
-        // Structural recursion over an acyclic arena tree; mirror the
-        // printer's runaway guard.
-        debug_assert!(depth < 100_000, "postbox encode recursion runaway");
+    /// Emits one node's tag and payload words; a list's children and a
+    /// form's two trees go onto `pending` so that they pop in preorder.
+    fn encode_node(&mut self, interp: &Interp, id: NodeId, pending: &mut Vec<NodeId>) {
         let n = interp.arena.get(id);
         match (n.ty, n.payload) {
             (NodeType::Nil, _) => self.words.push(TAG_NIL),
@@ -232,24 +243,16 @@ impl FlatTree {
                 self.words.push(TAG_FUNCTION);
                 self.words.push(b.index() as u32);
             }
-            (NodeType::List | NodeType::Expression, Payload::List { first, .. }) => {
+            (NodeType::List | NodeType::Expression, _) => {
                 self.words.push(if n.ty == NodeType::List {
                     TAG_LIST
                 } else {
                     TAG_EXPRESSION
                 });
-                // Single walk: reserve the count word, encode the sibling
-                // chain, patch the count in afterwards.
-                let count_at = self.words.len();
-                self.words.push(0);
-                let mut count = 0u32;
-                let mut cur = first;
-                while let Some(kid) = cur {
-                    self.encode_node(interp, kid, depth + 1);
-                    count += 1;
-                    cur = interp.arena.get(kid).next;
-                }
-                self.words[count_at] = count;
+                let start = pending.len();
+                pending.extend(interp.arena.iter_list(id));
+                self.words.push((pending.len() - start) as u32);
+                pending[start..].reverse();
             }
             (NodeType::Form | NodeType::Macro, Payload::Form { params, body }) => {
                 self.words.push(if n.ty == NodeType::Form {
@@ -257,8 +260,7 @@ impl FlatTree {
                 } else {
                     TAG_MACRO
                 });
-                self.encode_node(interp, params, depth + 1);
-                self.encode_node(interp, body, depth + 1);
+                pending.extend([body, params]);
             }
             _ => unreachable!("node type/payload mismatch in postbox encode"),
         }
@@ -270,10 +272,17 @@ impl FlatTree {
     }
 
     /// Decodes tree `i` of the batch into `interp`'s arena, re-interning
-    /// text, and returns the new root.
+    /// text, and returns the new root. The walk keeps its open lists and
+    /// forms on an explicit stack pooled on the interpreter, and allocates
+    /// nodes in the order a recursive decode would: a list before its
+    /// children, a form after its parameter and body trees.
     pub fn decode(&self, i: usize, interp: &mut Interp) -> Result<NodeId> {
         let mut pos = self.starts[i] as usize;
-        self.decode_node(interp, &mut pos)
+        let mut frames = std::mem::take(&mut interp.scratch.decode_frames);
+        frames.clear();
+        let root = self.decode_walk(interp, &mut pos, &mut frames);
+        interp.scratch.decode_frames = frames;
+        root
     }
 
     fn word(&self, pos: &mut usize) -> Result<u32> {
@@ -292,61 +301,96 @@ impl FlatTree {
         Ok(lo | (hi << 32))
     }
 
-    fn decode_node(&self, interp: &mut Interp, pos: &mut usize) -> Result<NodeId> {
-        match self.word(pos)? {
-            TAG_NIL => interp.alloc(Node::nil()),
-            TAG_TRUE => interp.alloc(Node::truth()),
-            TAG_INT => {
-                let v = self.read_u64(pos)? as i64;
-                interp.alloc(Node::int(v))
-            }
-            TAG_FLOAT => {
-                let v = f64::from_bits(self.read_u64(pos)?);
-                interp.alloc(Node::float(v))
-            }
-            TAG_STR => {
-                let sid = self.intern_span(interp, pos)?;
-                interp.alloc(Node::string(sid))
-            }
-            TAG_SYMBOL => {
-                let sid = self.intern_span(interp, pos)?;
-                interp.alloc(Node::symbol(sid))
-            }
-            TAG_FUNCTION => {
-                let id = self.word(pos)? as usize;
-                interp.alloc(Node::function(crate::types::BuiltinId::new(id)))
-            }
-            tag @ (TAG_LIST | TAG_EXPRESSION) => {
-                let ty = if tag == TAG_LIST {
-                    NodeType::List
-                } else {
-                    NodeType::Expression
-                };
-                let count = self.word(pos)?;
-                let list = interp.alloc(Node::new(
-                    ty,
-                    Payload::List {
-                        first: None,
-                        last: None,
-                    },
-                ))?;
-                for _ in 0..count {
-                    let kid = self.decode_node(interp, pos)?;
-                    interp.arena.list_append(list, kid);
+    fn decode_walk(
+        &self,
+        interp: &mut Interp,
+        pos: &mut usize,
+        frames: &mut Vec<DecodeFrame>,
+    ) -> Result<NodeId> {
+        loop {
+            let mut done = match self.word(pos)? {
+                TAG_NIL => interp.alloc(Node::nil())?,
+                TAG_TRUE => interp.alloc(Node::truth())?,
+                TAG_INT => {
+                    let v = self.read_u64(pos)? as i64;
+                    interp.alloc(Node::int(v))?
                 }
-                Ok(list)
+                TAG_FLOAT => {
+                    let v = f64::from_bits(self.read_u64(pos)?);
+                    interp.alloc(Node::float(v))?
+                }
+                TAG_STR => {
+                    let sid = self.intern_span(interp, pos)?;
+                    interp.alloc(Node::string(sid))?
+                }
+                TAG_SYMBOL => {
+                    let sid = self.intern_span(interp, pos)?;
+                    interp.alloc(Node::symbol(sid))?
+                }
+                TAG_FUNCTION => {
+                    let id = self.word(pos)? as usize;
+                    interp.alloc(Node::function(crate::types::BuiltinId::new(id)))?
+                }
+                tag @ (TAG_LIST | TAG_EXPRESSION) => {
+                    let ty = if tag == TAG_LIST {
+                        NodeType::List
+                    } else {
+                        NodeType::Expression
+                    };
+                    let count = self.word(pos)?;
+                    let list = interp.alloc(Node::new(
+                        ty,
+                        Payload::List {
+                            first: None,
+                            last: None,
+                        },
+                    ))?;
+                    if count > 0 {
+                        frames.push(DecodeFrame::List {
+                            list,
+                            remaining: count,
+                        });
+                        continue;
+                    }
+                    list
+                }
+                tag @ (TAG_FORM | TAG_MACRO) => {
+                    let ty = if tag == TAG_FORM {
+                        NodeType::Form
+                    } else {
+                        NodeType::Macro
+                    };
+                    frames.push(DecodeFrame::Form { ty, params: None });
+                    continue;
+                }
+                _ => return Err(CuliError::Internal("unknown postbox tree tag")),
+            };
+            // Hand the finished node to its parent, closing every frame
+            // it completes.
+            loop {
+                match frames.last_mut() {
+                    None => return Ok(done),
+                    Some(DecodeFrame::List { list, remaining }) => {
+                        interp.arena.list_append(*list, done);
+                        *remaining -= 1;
+                        if *remaining > 0 {
+                            break;
+                        }
+                        done = *list;
+                    }
+                    Some(DecodeFrame::Form { ty, params }) => match *params {
+                        None => {
+                            *params = Some(done);
+                            break;
+                        }
+                        Some(params) => {
+                            let form = Payload::Form { params, body: done };
+                            done = interp.alloc(Node::new(*ty, form))?;
+                        }
+                    },
+                }
+                frames.pop();
             }
-            tag @ (TAG_FORM | TAG_MACRO) => {
-                let ty = if tag == TAG_FORM {
-                    NodeType::Form
-                } else {
-                    NodeType::Macro
-                };
-                let params = self.decode_node(interp, pos)?;
-                let body = self.decode_node(interp, pos)?;
-                interp.alloc(Node::new(ty, Payload::Form { params, body }))
-            }
-            _ => Err(CuliError::Internal("unknown postbox tree tag")),
         }
     }
 
@@ -444,31 +488,43 @@ impl TreeTemplate {
 }
 
 /// Walks one encoded tree's word grammar, collecting the positions of
-/// text-reference operands.
+/// text-reference operands. Preorder needs no stack: it is enough to
+/// count the trees still to be read.
 fn scan_text_refs(words: &[u32], pos: &mut usize, out: &mut Vec<u32>) {
-    let tag = words[*pos];
-    *pos += 1;
-    match tag {
-        TAG_NIL | TAG_TRUE => {}
-        TAG_INT | TAG_FLOAT => *pos += 2,
-        TAG_STR | TAG_SYMBOL => {
-            out.push(*pos as u32);
-            *pos += 1;
-        }
-        TAG_FUNCTION => *pos += 1,
-        TAG_LIST | TAG_EXPRESSION => {
-            let count = words[*pos];
-            *pos += 1;
-            for _ in 0..count {
-                scan_text_refs(words, pos, out);
+    let mut trees_left = 1u64;
+    while trees_left > 0 {
+        trees_left -= 1;
+        let tag = words[*pos];
+        *pos += 1;
+        match tag {
+            TAG_NIL | TAG_TRUE => {}
+            TAG_INT | TAG_FLOAT => *pos += 2,
+            TAG_STR | TAG_SYMBOL => {
+                out.push(*pos as u32);
+                *pos += 1;
             }
+            TAG_FUNCTION => *pos += 1,
+            TAG_LIST | TAG_EXPRESSION => {
+                trees_left += words[*pos] as u64;
+                *pos += 1;
+            }
+            TAG_FORM | TAG_MACRO => trees_left += 2,
+            _ => unreachable!("unknown tag in own postbox encode"),
         }
-        TAG_FORM | TAG_MACRO => {
-            scan_text_refs(words, pos, out);
-            scan_text_refs(words, pos, out);
-        }
-        _ => unreachable!("unknown tag in own postbox encode"),
     }
+}
+
+/// An open list or form on the explicit decode stack.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum DecodeFrame {
+    /// An allocated list still waiting for `remaining` children.
+    List { list: NodeId, remaining: u32 },
+    /// A form or macro waiting for its trees: `params` is `None` until the
+    /// parameter tree is decoded; the node is allocated after the body.
+    Form {
+        ty: NodeType,
+        params: Option<NodeId>,
+    },
 }
 
 /// A batch of environment-mutation records in flat encoding: the

@@ -699,18 +699,53 @@ mod tests {
 
     #[test]
     fn batch_with_zero_warm_clones() {
-        let mut r = threaded(4);
-        r.submit("(defun sq (x) (* x x))").unwrap();
-        r.submit("(||| 4 sq (1 2 3 4))").unwrap(); // warm the pool
-        let clones = r.interp_mut().clone_count();
-        let batch: Vec<&str> = vec!["(||| 4 sq (1 2 3 4))"; 32];
-        let replies = r.submit_batch(&batch).unwrap();
-        assert!(replies.iter().all(|r| r.output == "(1 4 9 16)"));
-        assert_eq!(
-            r.interp_mut().clone_count(),
-            clones,
-            "a warm pipelined batch must not clone the interpreter"
-        );
+        // Besides a plain repeated section, the streams are the recorded
+        // zero-clone workloads of BENCH_pr3.json
+        // (`warm_interp_clones_over_64_mixed_batched_commands`, dirty
+        // seats included) and BENCH_pr4.json
+        // (`warm_interp_clones_over_computed_operand_batches`).
+        let mut r = threaded(8);
+        for line in [
+            "(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))",
+            "(setq total 100)",
+            "(defun bump (x) (progn (setq total (+ total x)) total))",
+            "(setq c 3)",
+            "(defun sq (x) (* x x))",
+        ] {
+            assert!(r.submit(line).unwrap().ok);
+        }
+        r.submit("(||| 8 fib (4 4 4 4 4 4 4 4))").unwrap(); // warm the pool
+        let streams: [(&[&str], usize); 3] = [
+            (&["(||| 4 sq (1 2 3 4))"], 32),
+            (
+                &[
+                    "(||| 8 fib (4 4 4 4 4 4 4 4))",
+                    "(||| 8 bump (1 2 3 4 5 6 7 8))",
+                ],
+                64,
+            ),
+            (
+                &[
+                    "(||| 8 + (1 2 3 4 5 6 7 8) (list c c c c c c c c))",
+                    "(||| (+ 4 4) sq (1 2 3 4 5 6 7 8))",
+                ],
+                32,
+            ),
+        ];
+        for (commands, len) in streams {
+            let batch: Vec<&str> = commands.iter().copied().cycle().take(len).collect();
+            let clones = r.interp_mut().clone_count();
+            for reply in r.submit_batch(&batch).unwrap() {
+                assert!(reply.ok, "{}", reply.output);
+            }
+            assert_eq!(
+                r.interp_mut().clone_count(),
+                clones,
+                "a warm pipelined batch of {commands:?} must not clone the interpreter"
+            );
+        }
+        let replies = r.submit_batch(&["(||| 4 sq (1 2 3 4))"]).unwrap();
+        assert_eq!(replies[0].output, "(1 4 9 16)");
     }
 
     #[test]

@@ -613,36 +613,64 @@ mod tests {
         assert_eq!(par.output.matches('5').count(), 32);
     }
 
+    /// Regression band applied to committed `BENCH_pr*.json` records.
+    const BAND: f64 = 1.6;
+
+    /// `key`'s value in a committed `BENCH_pr*.json` record.
+    fn committed(record: &str, key: &str) -> f64 {
+        let at = record.find(&format!("\"{key}\": ")).expect(key) + key.len() + 4;
+        record[at..]
+            .split(',')
+            .next()
+            .unwrap()
+            .trim()
+            .parse()
+            .unwrap()
+    }
+
     #[test]
     fn batched_commands_match_submit_loop_and_amortize_transfer() {
         let prelude = "(defun sq (x) (* x x))";
-        let inputs = [
+        let mixed = vec![
             "(||| 4 sq (1 2 3 4))",
             "(||| (+ 2 2) sq (list 5 6 7 8))",
             "(setq g 3)", // barrier
             "(||| 2 + (1 2) (list g g))",
             "(||| 2 + (1 2) (3 4))",
         ];
-        let mut loop_repl = repl();
-        let mut batch_repl = repl();
-        loop_repl.submit(prelude).unwrap();
-        batch_repl.submit(prelude).unwrap();
-        let batched = batch_repl.submit_batch(&inputs).unwrap();
-        assert_eq!(batched.len(), inputs.len());
-        let mut loop_transfer = 0u64;
-        let mut batch_transfer = 0u64;
-        for (src, got) in inputs.iter().zip(&batched) {
-            let want = loop_repl.submit(src).unwrap();
-            assert_eq!(want.output, got.output, "{src}");
-            assert_eq!(want.ok, got.ok, "{src}");
-            assert_eq!(want.counters, got.counters, "{src}");
-            loop_transfer += want.phases.transfer_ns;
-            batch_transfer += got.phases.transfer_ns;
-        }
-        assert!(
-            batch_transfer < loop_transfer,
-            "coalesced command buffers must cut transfer time: {batch_transfer} vs {loop_transfer}"
+        // The recorded stream of BENCH_pr4.json, whose modeled transfer
+        // saving is gated at the record's regression band.
+        let recorded: Vec<&str> = std::iter::once("(setq c 3)")
+            .chain(std::iter::repeat_n("(||| 2 + (1 2) (list c c))", 32))
+            .collect();
+        let base = committed(
+            include_str!("../../../BENCH_pr4.json"),
+            "gpu_transfer_saved_ratio",
         );
+        for (inputs, floor) in [(mixed, 1.0), (recorded, (base / BAND).max(1.05))] {
+            let mut loop_repl = repl();
+            let mut batch_repl = repl();
+            loop_repl.submit(prelude).unwrap();
+            batch_repl.submit(prelude).unwrap();
+            let batched = batch_repl.submit_batch(&inputs).unwrap();
+            assert_eq!(batched.len(), inputs.len());
+            let mut loop_transfer = 0u64;
+            let mut batch_transfer = 0u64;
+            for (src, got) in inputs.iter().zip(&batched) {
+                let want = loop_repl.submit(src).unwrap();
+                assert_eq!(want.output, got.output, "{src}");
+                assert_eq!(want.ok, got.ok, "{src}");
+                assert_eq!(want.counters, got.counters, "{src}");
+                loop_transfer += want.phases.transfer_ns;
+                batch_transfer += got.phases.transfer_ns;
+            }
+            let saved = loop_transfer as f64 / batch_transfer as f64;
+            assert!(
+                saved > floor,
+                "coalesced command buffers must cut transfer time: {batch_transfer} vs \
+                 {loop_transfer} ns, {saved:.2}x (floor {floor:.2}x)"
+            );
+        }
     }
 
     #[test]
@@ -749,28 +777,49 @@ mod tests {
     fn sharded_runs_overlap_in_modeled_time() {
         // Four device-bound runs over four devices: the modeled makespan
         // (max over device clocks) must undercut the single-device batch,
-        // because round-robined runs advance different clocks.
+        // because round-robined runs advance different clocks, while every
+        // reply stays bit-identical. The 16-job section is the recorded
+        // workload of BENCH_pr5.json, gated at the record's regression
+        // band.
         let prelude = "(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))";
-        let section = "(||| 8 fib (8 8 8 8 8 8 8 8))";
-        let inputs: Vec<&str> = vec![section; 4 * GpuRepl::MAX_RUN_COMMANDS];
-        let makespan = |devices: usize| {
-            let mut r = sharded(devices);
-            r.submit(prelude).unwrap();
-            let before = r.device_elapsed_ns();
-            r.submit_batch(&inputs).unwrap();
-            let after = r.device_elapsed_ns();
-            after
-                .iter()
-                .zip(&before)
-                .map(|(a, b)| a - b)
-                .fold(0.0, f64::max)
-        };
-        let one = makespan(1);
-        let four = makespan(4);
-        assert!(
-            four * 2.0 < one,
-            "4-device makespan {four} ns must be well under the single-device {one} ns"
+        let base = committed(
+            include_str!("../../../BENCH_pr5.json"),
+            "multi_device_speedup",
         );
+        for (section, floor) in [
+            ("(||| 8 fib (8 8 8 8 8 8 8 8))", 2.0),
+            (
+                "(||| 16 fib (7 7 7 7 7 7 7 7 7 7 7 7 7 7 7 7))",
+                (base / BAND).max(2.0),
+            ),
+        ] {
+            let inputs: Vec<&str> = vec![section; 4 * GpuRepl::MAX_RUN_COMMANDS];
+            let run = |devices: usize| {
+                let mut r = sharded(devices);
+                r.submit(prelude).unwrap();
+                let before = r.device_elapsed_ns();
+                let replies = r.submit_batch(&inputs).unwrap();
+                let after = r.device_elapsed_ns();
+                let makespan = after
+                    .iter()
+                    .zip(&before)
+                    .map(|(a, b)| a - b)
+                    .fold(0.0, f64::max);
+                (makespan, replies)
+            };
+            let (one, one_replies) = run(1);
+            let (four, four_replies) = run(4);
+            for (k, (a, b)) in one_replies.iter().zip(&four_replies).enumerate() {
+                assert!(a.ok, "{}", a.output);
+                assert_eq!(a.output, b.output, "cmd {k}");
+                assert_eq!(a.counters, b.counters, "cmd {k}");
+            }
+            assert!(
+                one / four >= floor,
+                "4-device makespan {four} ns must be under the single-device {one} ns \
+                 by {floor:.2}x"
+            );
+        }
     }
 
     #[test]

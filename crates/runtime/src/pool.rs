@@ -69,8 +69,8 @@
 //! persistent environments in place — structure-faithful, no clone. The
 //! same snapshot repairs seats whose incremental replay window would be
 //! larger than the live environment (cold seats behind thousands of
-//! defines; the crossover is count-based, measured by `bench_pr3`'s
-//! `sync/` rows) and seats older than the log's compaction frontier
+//! defines; the crossover is count-based, recorded in the `sync/` rows
+//! of `BENCH_pr3.json`) and seats older than the log's compaction frontier
 //! ([`culi_core::env::EnvArena::sync_replay_faithful_since`]).
 //!
 //! A **dirty** worker refuses any already-queued plain section (its state
@@ -139,10 +139,10 @@ const RETAINED_MSG_BYTES: usize = 64 * 1024;
 /// Extra replay records tolerated before a snapshot becomes cheaper than
 /// incremental sync. Replay and snapshot records cost within a few
 /// percent of each other to encode/apply (both are one flat value tree
-/// plus one define/set; `bench_pr3`'s `sync/` rows measure both), so the
-/// crossover is essentially the record *counts*; the slack absorbs the
-/// snapshot's fixed cost of resetting and rebuilding the environment
-/// list.
+/// plus one define/set; the `sync/` rows of `BENCH_pr3.json` record
+/// both), so the crossover is essentially the record *counts*; the slack
+/// absorbs the snapshot's fixed cost of resetting and rebuilding the
+/// environment list.
 const SNAPSHOT_SLACK_RECORDS: usize = 16;
 
 /// A bounded FIFO rendezvous mailbox: `put` blocks while all
@@ -1499,23 +1499,32 @@ mod tests {
 
     #[test]
     fn pool_is_lazy_and_persists_across_sections() {
-        let mut i = interp();
-        let mut hook = ThreadedHook::new(4);
-        assert!(!hook.is_warm());
-        run(&mut i, &mut hook, "(||| 4 + (1 2 3 4) (1 1 1 1))");
-        assert!(hook.is_warm());
-        let clones_after_warmup = i.clone_count();
-        for _ in 0..16 {
+        // The second stream is the recorded zero-clone workload of
+        // BENCH_pr2.json (`warm_interp_clones_over_64_sections`): 64 warm
+        // 8-worker fib sections with a collection after each.
+        let streams = [
+            (4, "(||| 4 * (1 2 3 4) (2 2 2 2))", "(2 4 6 8)", 16),
+            (8, "(||| 8 fib (4 4 4 4 4 4 4 4))", "(3 3 3 3 3 3 3 3)", 64),
+        ];
+        for (workers, section, want, count) in streams {
+            let mut i = interp();
+            i.eval_str("(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))")
+                .unwrap();
+            let mut hook = ThreadedHook::new(workers);
+            assert!(!hook.is_warm());
+            run(&mut i, &mut hook, section);
+            assert!(hook.is_warm());
+            let clones_after_warmup = i.clone_count();
+            for _ in 0..count {
+                assert_eq!(run(&mut i, &mut hook, section), want);
+                culi_core::gc::collect(&mut i, &[]);
+            }
             assert_eq!(
-                run(&mut i, &mut hook, "(||| 4 * (1 2 3 4) (2 2 2 2))"),
-                "(2 4 6 8)"
+                i.clone_count(),
+                clones_after_warmup,
+                "warm sections must not clone the interpreter: {section}"
             );
         }
-        assert_eq!(
-            i.clone_count(),
-            clones_after_warmup,
-            "warm sections must not clone the interpreter"
-        );
     }
 
     #[test]

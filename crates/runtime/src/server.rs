@@ -74,7 +74,7 @@
 //!
 //! Forking a worker pool per tenant costs threads × an interpreter clone
 //! — ruinous at hundreds of tenants, which is exactly the naive baseline
-//! `bench_pr7` measures. The server instead serves **cold** tenants
+//! the `gate` bench binary measures (`multi_tenant_speedup`). The server instead serves **cold** tenants
 //! through the sequential reference (no pool, no forks) and promotes a
 //! tenant to the **warm** route only after
 //! [`ServerConfig::promote_after`] executed commands. The warm set is
