@@ -7,7 +7,7 @@
 //! measure: each metric below is timed by one interleaved loop that
 //! alternates its arms sample by sample (so host drift hits every arm
 //! alike), reduced to the median per-sample ratio of its two arms (or a
-//! lone arm's best sample), and checked by one rule against the committed
+//! lone arm's median sample), and checked by one rule against the committed
 //! `BENCH_pr*.json` record it was first measured in.
 //!
 //! | metric | record | bound |
@@ -28,11 +28,11 @@
 //! compared reply by reply with the uncached reference.
 //!
 //! ```text
-//! cargo run --release -p culi-bench --bin gate -- [out.json]
+//! cargo run --release -p culi-bench --bin gate -- out.json
 //! ```
 //!
-//! Writes every fresh value with its baseline and bound to `out.json`
-//! (default `gate.json`) and exits non-zero if any bound is broken.
+//! Writes every fresh value with its baseline and bound to `out.json` and
+//! exits non-zero if any bound is broken.
 
 use culi_bench::jsonout::{Json, JsonValue};
 use culi_bench::workload::{zipf_stream, CACHE_PRELUDE, FIB_DEFUN};
@@ -86,18 +86,21 @@ fn interleaved<const N: usize>(
     values
 }
 
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    values[values.len() / 2]
+}
+
 /// `a ÷ b` for two interleaved arms: the median of the per-sample ratios,
 /// so load that slows both arms of a sample cancels out.
 fn ratio([a, b]: [Vec<f64>; 2]) -> f64 {
-    let mut ratios: Vec<f64> = a.iter().zip(&b).map(|(a, b)| a / b).collect();
-    ratios.sort_by(f64::total_cmp);
-    ratios[ratios.len() / 2]
+    median(a.iter().zip(&b).map(|(a, b)| a / b).collect())
 }
 
-/// A lone arm's cost: with no partner to cancel against, its least
-/// disturbed (lowest) sample.
-fn best([a]: [Vec<f64>; 1]) -> f64 {
-    a.into_iter().fold(f64::INFINITY, f64::min)
+/// A lone arm's cost: its median sample. With no partner arm, host load
+/// is not cancelled, only its outliers are dropped.
+fn lone([a]: [Vec<f64>; 1]) -> f64 {
+    median(a)
 }
 
 /// An arm reporting nanoseconds per call of `f`, over a batch of calls
@@ -331,11 +334,8 @@ fn sched_overhead_ns() -> f64 {
         .map(|k| format!("{}{k}", if k % 8 == 7 { 'b' } else { 's' }))
         .collect();
     let inputs: Vec<&str> = sources.iter().map(String::as_str).collect();
-    // A lone absolute cost has no partner arm to cancel host load
-    // against, so it samples a window (~1 s) long enough to contain a
-    // quiet stretch of a shared host.
-    let ns = best(interleaved(
-        10 * SAMPLES,
+    let ns = lone(interleaved(
+        SAMPLES,
         [&mut per_call(|| {
             BatchScheduler::submit_batch(&mut NullQueue, &inputs).unwrap()
         })],
@@ -558,7 +558,12 @@ fn cache_speedup(stream: &[String]) -> f64 {
                         assert_identical(w, g, &format!("cached={cached} cmd {k}"));
                     }
                 }
-                None => assert!(!cached, "the uncached arm runs first"),
+                None => {
+                    assert!(!cached, "the uncached arm runs first");
+                    for (k, reply) in replies.iter().enumerate() {
+                        assert!(reply.ok, "cmd {k}: {}", reply.output);
+                    }
+                }
             }
             reference.borrow_mut().get_or_insert(replies);
             if let Some(cache) = cache {
@@ -578,14 +583,15 @@ fn cache_speedup(stream: &[String]) -> f64 {
 fn main() {
     use Better::{Higher, Lower};
     use Bound::{Band, Floor};
-    let out_path = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "gate.json".into());
+    let Some(out_path) = std::env::args().nth(1) else {
+        eprintln!("usage: gate OUT.json");
+        std::process::exit(2);
+    };
 
     let plain = batch_speedup("(||| 8 + (1 2 3 4 5 6 7 8) (1 2 3 4 5 6 7 8))");
     let list = batch_speedup("(||| 8 + (1 2 3 4 5 6 7 8) (list c c c c c c c c))");
     let count = batch_speedup("(||| (+ 4 4) sq (1 2 3 4 5 6 7 8))");
-    let recovery = best(interleaved(RUNS, [&mut hung_recovery_ms]));
+    let recovery = lone(interleaved(RUNS, [&mut hung_recovery_ms]));
     let tenants = ratio(interleaved(
         RUNS,
         [&mut || serve_naive(256), &mut || serve_server(256, false).0],

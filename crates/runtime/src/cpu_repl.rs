@@ -715,28 +715,44 @@ mod tests {
             assert!(r.submit(line).unwrap().ok);
         }
         r.submit("(||| 8 fib (4 4 4 4 4 4 4 4))").unwrap(); // warm the pool
-        let streams: [(&[&str], usize); 3] = [
-            (&["(||| 4 sq (1 2 3 4))"], 32),
+
+        // Each stream cycles its (command, expected reply) pairs. Workers'
+        // `setq`s stay local to their section, so every bump starts from
+        // the master's total of 100.
+        let streams: [(&[(&str, &str)], usize); 3] = [
+            (&[("(||| 4 sq (1 2 3 4))", "(1 4 9 16)")], 32),
             (
                 &[
-                    "(||| 8 fib (4 4 4 4 4 4 4 4))",
-                    "(||| 8 bump (1 2 3 4 5 6 7 8))",
+                    ("(||| 8 fib (4 4 4 4 4 4 4 4))", "(3 3 3 3 3 3 3 3)"),
+                    (
+                        "(||| 8 bump (1 2 3 4 5 6 7 8))",
+                        "(101 102 103 104 105 106 107 108)",
+                    ),
                 ],
                 64,
             ),
             (
                 &[
-                    "(||| 8 + (1 2 3 4 5 6 7 8) (list c c c c c c c c))",
-                    "(||| (+ 4 4) sq (1 2 3 4 5 6 7 8))",
+                    (
+                        "(||| 8 + (1 2 3 4 5 6 7 8) (list c c c c c c c c))",
+                        "(4 5 6 7 8 9 10 11)",
+                    ),
+                    (
+                        "(||| (+ 4 4) sq (1 2 3 4 5 6 7 8))",
+                        "(1 4 9 16 25 36 49 64)",
+                    ),
                 ],
                 32,
             ),
         ];
         for (commands, len) in streams {
-            let batch: Vec<&str> = commands.iter().copied().cycle().take(len).collect();
+            let expected: Vec<(&str, &str)> = commands.iter().copied().cycle().take(len).collect();
+            let batch: Vec<&str> = expected.iter().map(|(command, _)| *command).collect();
             let clones = r.interp_mut().clone_count();
-            for reply in r.submit_batch(&batch).unwrap() {
-                assert!(reply.ok, "{}", reply.output);
+            let replies = r.submit_batch(&batch).unwrap();
+            assert_eq!(replies.len(), len);
+            for (k, (reply, (command, want))) in replies.iter().zip(&expected).enumerate() {
+                assert_eq!(reply.output, *want, "cmd {k}: {command}");
             }
             assert_eq!(
                 r.interp_mut().clone_count(),
@@ -744,8 +760,6 @@ mod tests {
                 "a warm pipelined batch of {commands:?} must not clone the interpreter"
             );
         }
-        let replies = r.submit_batch(&["(||| 4 sq (1 2 3 4))"]).unwrap();
-        assert_eq!(replies[0].output, "(1 4 9 16)");
     }
 
     #[test]

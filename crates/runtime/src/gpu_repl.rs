@@ -613,20 +613,15 @@ mod tests {
         assert_eq!(par.output.matches('5').count(), 32);
     }
 
-    /// Regression band applied to committed `BENCH_pr*.json` records.
-    const BAND: f64 = 1.6;
+    /// Floor on the modeled transfer saving of the recorded stream:
+    /// max(base / 1.6, 1.05) over `gpu_transfer_saved_ratio` = 9.677 in
+    /// `BENCH_pr4.json`, with 1.6 the record's regression band.
+    const TRANSFER_SAVED_FLOOR: f64 = 9.677071600965407 / 1.6;
 
-    /// `key`'s value in a committed `BENCH_pr*.json` record.
-    fn committed(record: &str, key: &str) -> f64 {
-        let at = record.find(&format!("\"{key}\": ")).expect(key) + key.len() + 4;
-        record[at..]
-            .split(',')
-            .next()
-            .unwrap()
-            .trim()
-            .parse()
-            .unwrap()
-    }
+    /// Floor on the modeled 4-device speedup of the recorded section:
+    /// max(base / 1.6, 2.0) over `multi_device_speedup` = 4.0 in
+    /// `BENCH_pr5.json`, with 1.6 the record's regression band.
+    const MULTI_DEVICE_FLOOR: f64 = 4.0 / 1.6;
 
     #[test]
     fn batched_commands_match_submit_loop_and_amortize_transfer() {
@@ -638,16 +633,11 @@ mod tests {
             "(||| 2 + (1 2) (list g g))",
             "(||| 2 + (1 2) (3 4))",
         ];
-        // The recorded stream of BENCH_pr4.json, whose modeled transfer
-        // saving is gated at the record's regression band.
+        // The recorded stream of BENCH_pr4.json.
         let recorded: Vec<&str> = std::iter::once("(setq c 3)")
             .chain(std::iter::repeat_n("(||| 2 + (1 2) (list c c))", 32))
             .collect();
-        let base = committed(
-            include_str!("../../../BENCH_pr4.json"),
-            "gpu_transfer_saved_ratio",
-        );
-        for (inputs, floor) in [(mixed, 1.0), (recorded, (base / BAND).max(1.05))] {
+        for (inputs, floor) in [(mixed, 1.0), (recorded, TRANSFER_SAVED_FLOOR)] {
             let mut loop_repl = repl();
             let mut batch_repl = repl();
             loop_repl.submit(prelude).unwrap();
@@ -669,6 +659,12 @@ mod tests {
                 saved > floor,
                 "coalesced command buffers must cut transfer time: {batch_transfer} vs \
                  {loop_transfer} ns, {saved:.2}x (floor {floor:.2}x)"
+            );
+            assert!(
+                batch_repl.elapsed_device_ns() < loop_repl.elapsed_device_ns(),
+                "batched {} ns vs loop {} ns of device time",
+                batch_repl.elapsed_device_ns(),
+                loop_repl.elapsed_device_ns()
             );
         }
     }
@@ -779,18 +775,13 @@ mod tests {
         // (max over device clocks) must undercut the single-device batch,
         // because round-robined runs advance different clocks, while every
         // reply stays bit-identical. The 16-job section is the recorded
-        // workload of BENCH_pr5.json, gated at the record's regression
-        // band.
+        // workload of BENCH_pr5.json.
         let prelude = "(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))";
-        let base = committed(
-            include_str!("../../../BENCH_pr5.json"),
-            "multi_device_speedup",
-        );
         for (section, floor) in [
             ("(||| 8 fib (8 8 8 8 8 8 8 8))", 2.0),
             (
                 "(||| 16 fib (7 7 7 7 7 7 7 7 7 7 7 7 7 7 7 7))",
-                (base / BAND).max(2.0),
+                MULTI_DEVICE_FLOOR,
             ),
         ] {
             let inputs: Vec<&str> = vec![section; 4 * GpuRepl::MAX_RUN_COMMANDS];
