@@ -49,6 +49,9 @@ pub struct NodeArena {
     /// allocation fails with [`CuliError::HeapLimitExceeded`] at this
     /// occupancy. `usize::MAX` (the default) disables the cap.
     node_limit: usize,
+    /// Slots allocation may fill before [`CuliError::ArenaFull`]: the
+    /// slot count, unless [`NodeArena::set_capacity`] lowered it.
+    capacity: usize,
 }
 
 #[derive(Debug, Clone)]
@@ -85,6 +88,7 @@ impl NodeArena {
             high_water: 0,
             high_slot: 0,
             node_limit: usize::MAX,
+            capacity,
         }
     }
 
@@ -95,9 +99,52 @@ impl NodeArena {
         self.node_limit = limit;
     }
 
-    /// Total slot count (the compile-time array length in the C original).
+    /// Sets the capacity allocation reports [`CuliError::ArenaFull`] at,
+    /// adding slots when it exceeds the current count (slots are never
+    /// removed). A worker replica lent across sessions takes each
+    /// session's capacity this way.
+    pub fn set_capacity(&mut self, capacity: usize) {
+        let len = self.slots.len();
+        if capacity > len {
+            assert!(
+                capacity < FREE_NONE as usize,
+                "arena capacity must fit the u32 free-list index space"
+            );
+            // Append the new slots as a seed-ordered run at the end of
+            // the free-list, where the untouched tail the sweep relies on
+            // (see `high_slot`) lives.
+            let mut last = None;
+            let mut cur = self.free_head;
+            while cur != FREE_NONE {
+                last = Some(cur as usize);
+                cur = match self.slots[cur as usize] {
+                    Slot::Free { next_free } => next_free,
+                    Slot::Occupied(_) => unreachable!("occupied slot on the free list"),
+                };
+            }
+            self.slots.extend((len..capacity).map(|i| Slot::Free {
+                next_free: if i + 1 < capacity {
+                    (i + 1) as u32
+                } else {
+                    FREE_NONE
+                },
+            }));
+            match last {
+                Some(l) => {
+                    self.slots[l] = Slot::Free {
+                        next_free: len as u32,
+                    }
+                }
+                None => self.free_head = len as u32,
+            }
+        }
+        self.capacity = capacity;
+    }
+
+    /// Slots allocation may fill (the compile-time array length in the C
+    /// original).
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity
     }
 
     /// Currently occupied slots.
@@ -126,12 +173,13 @@ impl NodeArena {
                 limit: self.node_limit,
             });
         }
-        let idx = self.free_head;
-        if idx == FREE_NONE {
+        if self.live >= self.capacity {
             return Err(CuliError::ArenaFull {
-                capacity: self.slots.len(),
+                capacity: self.capacity,
             });
         }
+        // Below capacity a free slot exists: every free slot is listed.
+        let idx = self.free_head;
         let slot = &mut self.slots[idx as usize];
         let next = match slot {
             Slot::Free { next_free } => *next_free,
@@ -560,6 +608,44 @@ mod tests {
         assert!(
             a.alloc(Node::int(3), &mut m).is_ok(),
             "freeing lifts the cap"
+        );
+    }
+
+    #[test]
+    fn set_capacity_caps_and_grows_in_place() {
+        let (mut a, mut m) = arena(4);
+        let ids: Vec<_> = (0..3)
+            .map(|k| a.alloc(Node::int(k), &mut m).unwrap())
+            .collect();
+        a.set_capacity(3);
+        assert_eq!(
+            a.alloc(Node::int(9), &mut m),
+            Err(CuliError::ArenaFull { capacity: 3 })
+        );
+        // Growing links the new slots behind the free ones already held.
+        a.set_capacity(6);
+        let more: Vec<_> = (3..6)
+            .map(|k| a.alloc(Node::int(k), &mut m).unwrap())
+            .collect();
+        assert_eq!(
+            a.alloc(Node::int(9), &mut m),
+            Err(CuliError::ArenaFull { capacity: 6 })
+        );
+        for (k, &id) in ids.iter().chain(&more).enumerate() {
+            assert_eq!(a.get(id).payload, Node::int(k as i64).payload);
+        }
+        // A sweep keeps the grown tail reachable.
+        a.free(more[0], &mut m);
+        let marks = vec![u64::MAX; 1];
+        a.sweep_unmarked(&marks);
+        a.set_capacity(8);
+        for k in 0..3 {
+            assert!(a.alloc(Node::int(k), &mut m).is_ok());
+        }
+        assert_eq!(a.live(), 8);
+        assert_eq!(
+            a.alloc(Node::int(9), &mut m),
+            Err(CuliError::ArenaFull { capacity: 8 })
         );
     }
 

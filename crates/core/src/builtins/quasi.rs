@@ -10,6 +10,12 @@
 //!   elements into the surrounding list;
 //! * nested backquotes increase the quotation level; commas only fire at
 //!   level 1.
+//!
+//! The template walk recurses once per nesting level, so it is bounded
+//! like the parser: a template nested deeper than
+//! [`crate::interp::InterpConfig::max_depth`] (only reachable by building
+//! one at run time) fails with [`CuliError::RecursionLimit`]. The bound
+//! counts template levels, not the evaluation `depth` handed to holes.
 
 use super::util::{expect_exact, nil};
 use crate::error::{CuliError, Result};
@@ -43,10 +49,16 @@ fn expand(
     env: EnvId,
     depth: usize,
     level: u32,
+    nest: usize,
 ) -> Result<Expanded> {
     let ty = interp.arena.get(node).ty;
     if !matches!(ty, NodeType::List | NodeType::Expression) {
         return Ok(Expanded::Value(node));
+    }
+    if nest >= interp.config.max_depth {
+        return Err(CuliError::RecursionLimit {
+            limit: interp.config.max_depth,
+        });
     }
     // (unquote e)
     if head_symbol_is(interp, node, b"unquote") {
@@ -62,7 +74,7 @@ fn expand(
             return Ok(Expanded::Value(v));
         }
         // Deeper level: keep the form, expand inside with one level less.
-        return rebuild(interp, hook, node, env, depth, level - 1);
+        return rebuild(interp, hook, node, env, depth, level - 1, nest);
     }
     // (unquote-splicing e)
     if head_symbol_is(interp, node, b"unquote-splicing") {
@@ -87,13 +99,13 @@ fn expand(
             };
             return Ok(Expanded::Splice(items));
         }
-        return rebuild(interp, hook, node, env, depth, level - 1);
+        return rebuild(interp, hook, node, env, depth, level - 1, nest);
     }
     // (quasiquote t) nested: one level deeper.
     if head_symbol_is(interp, node, b"quasiquote") {
-        return rebuild(interp, hook, node, env, depth, level + 1);
+        return rebuild(interp, hook, node, env, depth, level + 1, nest);
     }
-    rebuild(interp, hook, node, env, depth, level)
+    rebuild(interp, hook, node, env, depth, level, nest)
 }
 
 /// Rebuilds a list template, expanding each child and inlining splices.
@@ -104,11 +116,12 @@ fn rebuild(
     env: EnvId,
     depth: usize,
     level: u32,
+    nest: usize,
 ) -> Result<Expanded> {
     let kids = interp.arena.list_children(node);
     let out = interp.alloc(Node::empty_list())?;
     for kid in kids {
-        match expand(interp, hook, kid, env, depth, level)? {
+        match expand(interp, hook, kid, env, depth, level, nest + 1)? {
             Expanded::Value(v) => {
                 let copy = interp.copy_for_list(v)?;
                 interp.arena.list_append(out, copy);
@@ -133,7 +146,7 @@ pub fn quasiquote(
     depth: usize,
 ) -> Result<NodeId> {
     expect_exact("quasiquote", args, 1)?;
-    match expand(interp, hook, args[0], env, depth, 1)? {
+    match expand(interp, hook, args[0], env, depth, 1, 0)? {
         Expanded::Value(v) => Ok(v),
         Expanded::Splice(_) => Err(CuliError::Type {
             builtin: "quasiquote",
@@ -229,5 +242,29 @@ mod tests {
     #[test]
     fn splice_of_non_list_is_an_error() {
         assert!(Interp::default().eval_str("`(1 ,@5)").is_err());
+    }
+
+    #[test]
+    fn template_walk_is_bounded_by_max_depth() {
+        use crate::error::CuliError;
+        use crate::interp::InterpConfig;
+        let mut i = Interp::new(InterpConfig {
+            max_depth: 8,
+            ..Default::default()
+        });
+        // The deepest template the parser accepts still expands...
+        let template = format!("{}x{}", "(".repeat(8), ")".repeat(8));
+        assert_eq!(
+            i.eval_str(&format!("`{template}")).unwrap(),
+            template.as_str()
+        );
+        // ...while a deeper one built at run time is refused.
+        i.eval_str("(setq x nil)").unwrap();
+        i.eval_str("(dotimes (k 9) (setq x (list x)))").unwrap();
+        assert!(i.eval_str("`(((((((((x)))))))))").is_err(), "unparsable");
+        assert_eq!(
+            i.eval_str("(eval (list 'quasiquote x))"),
+            Err(CuliError::RecursionLimit { limit: 8 })
+        );
     }
 }

@@ -532,6 +532,13 @@ impl EnvArena {
         e.index = None;
     }
 
+    /// Empties the sync log (epoch stamps keep counting). Used by
+    /// snapshot-resync on a replica, whose log only measures growth.
+    pub(crate) fn clear_sync_log(&mut self) {
+        self.sync_log.clear();
+        self.compacted_len = 0;
+    }
+
     /// Values held by sync-log records. They are GC roots: between
     /// compactions a record may reference an already-overwritten value
     /// that a stale replica still needs to replay.

@@ -72,6 +72,8 @@ pub struct Scratch {
     /// Open lists and forms of the postbox decode walk, reused across
     /// decodes.
     pub(crate) decode_frames: Vec<crate::postbox::DecodeFrame>,
+    /// The printer's walk stack, reused across prints.
+    pub(crate) print_steps: Vec<crate::printer::Step>,
 }
 
 /// A complete CuLi interpreter instance.

@@ -716,16 +716,26 @@ impl EnvSnapshot {
     /// every logged environment is cleared and its bindings redefined in
     /// original order. The replica must share the master's lineage (same
     /// logged-environment count); anything else is a protocol error.
+    ///
+    /// The values the cleared bindings held are collected before any is
+    /// decoded, together with the replica's own sync log (on a replica it
+    /// only counts mutations), so a replica last synced to another
+    /// interpreter keeps none of its values alive. Like
+    /// [`crate::gc::collect`], this must run between evaluations.
     pub fn apply(&self, interp: &mut Interp) -> Result<()> {
         if self.env_lens.len() != interp.envs.logged_env_count() {
             return Err(CuliError::Internal(
                 "env snapshot does not match the replica's persistent set",
             ));
         }
+        for e in 0..self.env_lens.len() {
+            interp.envs.reset_env_bindings(EnvId::new(e));
+        }
+        interp.envs.clear_sync_log();
+        crate::gc::collect(interp, &[]);
         let mut k = 0usize;
         for (e, &len) in self.env_lens.iter().enumerate() {
             let env = EnvId::new(e);
-            interp.envs.reset_env_bindings(env);
             for _ in 0..len {
                 let sym = interp.strings.intern(self.syms.get(k)?);
                 let value = self.values.decode(k, interp)?;

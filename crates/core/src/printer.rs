@@ -30,7 +30,7 @@ pub fn print(interp: &mut Interp, node: NodeId) -> Result<Vec<u8>> {
 pub fn print_into(interp: &mut Interp, node: NodeId, buf: &mut StrBuf) -> Result<()> {
     let cap = buf.capacity();
     let before = buf.len();
-    let result = walk(interp, node, buf, 0);
+    let result = walk(interp, node, buf);
     let written = (buf.len() - before) as u64;
     interp.meter.output_bytes(written);
     result.map_err(|_| CuliError::OutputFull { capacity: cap })
@@ -49,72 +49,101 @@ pub fn print_to_string(interp: &mut Interp, node: NodeId) -> Result<String> {
 
 type BufResult = core::result::Result<(), culi_strlib::buf::BufFull>;
 
-fn walk(interp: &mut Interp, node: NodeId, buf: &mut StrBuf, depth: usize) -> BufResult {
-    // Depth guard: printing is structural recursion over an acyclic tree,
-    // but a buggy caller could hand us a cycle; the arena makes cycles
-    // impossible to *construct* through the public API, so a plain debug
-    // assert on depth suffices.
-    debug_assert!(depth < 100_000, "print recursion runaway");
-    let n = *interp.arena.get(node);
-    match n.ty {
-        NodeType::Nil => buf.push_bytes(b"nil"),
-        NodeType::True => buf.push_bytes(b"T"),
-        NodeType::Int => match n.payload {
-            Payload::Int(v) => {
-                interp.meter.number_format();
-                buf.push_i64(v)
-            }
-            _ => unreachable!("int node without int payload"),
-        },
-        NodeType::Float => match n.payload {
-            Payload::Float(v) => {
-                interp.meter.number_format();
-                buf.push_f64(v)
-            }
-            _ => unreachable!("float node without float payload"),
-        },
-        NodeType::Str => match n.payload {
-            Payload::Text(s) => {
-                buf.push(b'"')?;
-                buf.push_bytes(interp.strings.get(s))?;
-                buf.push(b'"')
-            }
-            _ => unreachable!("string node without text payload"),
-        },
-        NodeType::Symbol => match n.payload {
-            Payload::Text(s) => buf.push_bytes(interp.strings.get(s)),
-            _ => unreachable!("symbol node without text payload"),
-        },
-        NodeType::Function => match n.payload {
-            Payload::Builtin(b_id) => {
-                buf.push_bytes(b"#<builtin ")?;
-                let name = interp.builtins.name(b_id);
-                buf.push_bytes(name.as_bytes())?;
-                buf.push(b'>')
-            }
-            _ => unreachable!("function node without builtin payload"),
-        },
-        NodeType::Form => buf.push_bytes(b"#<form>"),
-        NodeType::Macro => buf.push_bytes(b"#<macro>"),
-        NodeType::List | NodeType::Expression => {
-            buf.push(b'(')?;
-            // Follow the sibling chain directly — no per-list child vector.
-            let mut cur = match n.payload {
-                Payload::List { first, .. } => first,
-                _ => None,
-            };
-            let mut first_kid = true;
-            while let Some(kid) = cur {
-                if !first_kid {
-                    buf.push(b' ')?;
+/// One step of the printer's explicit-stack walk.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Step {
+    /// Print this node.
+    Node(NodeId),
+    /// This list element is printed: continue with its next sibling, or
+    /// close the list.
+    After(NodeId),
+}
+
+/// Postfix printing over an explicit stack (pooled on the interpreter),
+/// so a value of any depth prints without recursion.
+fn walk(interp: &mut Interp, root: NodeId, buf: &mut StrBuf) -> BufResult {
+    let mut stack = std::mem::take(&mut interp.scratch.print_steps);
+    stack.clear();
+    stack.push(Step::Node(root));
+    let result = walk_steps(interp, &mut stack, buf);
+    interp.scratch.print_steps = stack;
+    result
+}
+
+fn walk_steps(interp: &mut Interp, stack: &mut Vec<Step>, buf: &mut StrBuf) -> BufResult {
+    while let Some(step) = stack.pop() {
+        let node = match step {
+            Step::Node(node) => node,
+            Step::After(kid) => {
+                // Follow the sibling chain directly — no per-list child
+                // vector.
+                match interp.arena.get(kid).next {
+                    Some(next) => {
+                        buf.push(b' ')?;
+                        stack.push(Step::After(next));
+                        stack.push(Step::Node(next));
+                    }
+                    None => buf.push(b')')?,
                 }
-                first_kid = false;
-                walk(interp, kid, buf, depth + 1)?;
-                cur = interp.arena.get(kid).next;
+                continue;
             }
-            buf.push(b')')
+        };
+        let n = *interp.arena.get(node);
+        match n.ty {
+            NodeType::Nil => buf.push_bytes(b"nil")?,
+            NodeType::True => buf.push_bytes(b"T")?,
+            NodeType::Int => match n.payload {
+                Payload::Int(v) => {
+                    interp.meter.number_format();
+                    buf.push_i64(v)?
+                }
+                _ => unreachable!("int node without int payload"),
+            },
+            NodeType::Float => match n.payload {
+                Payload::Float(v) => {
+                    interp.meter.number_format();
+                    buf.push_f64(v)?
+                }
+                _ => unreachable!("float node without float payload"),
+            },
+            NodeType::Str => match n.payload {
+                Payload::Text(s) => {
+                    buf.push(b'"')?;
+                    buf.push_bytes(interp.strings.get(s))?;
+                    buf.push(b'"')?
+                }
+                _ => unreachable!("string node without text payload"),
+            },
+            NodeType::Symbol => match n.payload {
+                Payload::Text(s) => buf.push_bytes(interp.strings.get(s))?,
+                _ => unreachable!("symbol node without text payload"),
+            },
+            NodeType::Function => match n.payload {
+                Payload::Builtin(b_id) => {
+                    buf.push_bytes(b"#<builtin ")?;
+                    let name = interp.builtins.name(b_id);
+                    buf.push_bytes(name.as_bytes())?;
+                    buf.push(b'>')?
+                }
+                _ => unreachable!("function node without builtin payload"),
+            },
+            NodeType::Form => buf.push_bytes(b"#<form>")?,
+            NodeType::Macro => buf.push_bytes(b"#<macro>")?,
+            NodeType::List | NodeType::Expression => {
+                buf.push(b'(')?;
+                match n.payload {
+                    Payload::List {
+                        first: Some(first), ..
+                    } => {
+                        stack.push(Step::After(first));
+                        stack.push(Step::Node(first));
+                    }
+                    _ => buf.push(b')')?,
+                }
+            }
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]

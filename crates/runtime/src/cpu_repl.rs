@@ -63,8 +63,6 @@ pub struct CpuReplConfig {
     pub interp: InterpConfig,
     /// Execution mode.
     pub mode: CpuMode,
-    /// Run the collector between commands.
-    pub gc_between_commands: bool,
     /// Host-side file services exposed to device code.
     pub host_io: Option<culi_core::hostio::HostIoHandle>,
     /// Worker-pool watchdog: how long one reply take may block before
@@ -86,7 +84,6 @@ impl Default for CpuReplConfig {
         Self {
             interp: InterpConfig::default(),
             mode: CpuMode::Modeled,
-            gc_between_commands: true,
             host_io: None,
             reply_deadline: WorkerPool::DEFAULT_REPLY_DEADLINE,
             fault_plan: FaultPlan::none(),
@@ -133,13 +130,7 @@ impl CpuRepl {
             )),
         };
         Self {
-            pipe: Pipeline::new(
-                spec,
-                &config.interp,
-                config.host_io,
-                config.gc_between_commands,
-                config.cache,
-            ),
+            pipe: Pipeline::new(spec, &config.interp, config.host_io, config.cache),
             machine: CpuMachine::launch(spec),
             threaded,
             scratch_cycles: Vec::new(),
@@ -166,37 +157,31 @@ impl CpuRepl {
     /// lazily forked), yet the reply — output, ok flag, counters — is
     /// byte-identical to what the pooled path would produce (the
     /// invariant `run_jobs_sequential_reference` pins). The session
-    /// server routes *cold* tenants through this so hundreds of mostly
-    /// idle sessions never each pay a pool fork; a tenant's replies are
-    /// indistinguishable across the cold and warm routes.
+    /// server routes *cold* tenants through this, so a tenant that never
+    /// reaches the warm route never borrows (or forks) the server's one
+    /// worker pool; a tenant's replies are indistinguishable across the
+    /// cold and warm routes.
     pub fn submit_reference(&mut self, input: &str) -> Result<Reply> {
         self.submit_inner(input, true)
     }
 
-    /// Drops the session's warm worker pool, returning the dispatch-buffer
-    /// bytes it retained. The next pooled submit transparently re-forks —
-    /// eviction is invisible to the tenant beyond re-warm latency. No-op
-    /// (returns 0) while cold.
-    pub fn release_warm_forks(&mut self) -> usize {
-        let freed = self.retained_warm_bytes();
-        if let Some(hook) = &mut self.threaded {
-            hook.release();
-        }
-        freed
-    }
-
-    /// Bytes of dispatch-buffer capacity retained by this session's warm
-    /// pool (0 while cold) — the unit the session server's eviction
-    /// budget counts in.
-    pub fn retained_warm_bytes(&self) -> usize {
-        self.threaded
-            .as_ref()
-            .map_or(0, ThreadedHook::retained_buffer_bytes)
-    }
-
-    /// `true` while the session holds a warm (forked) worker pool.
-    pub fn has_warm_forks(&self) -> bool {
-        self.threaded.as_ref().is_some_and(ThreadedHook::is_warm)
+    /// [`CpuRepl::submit_batch`] as server tenant `owner`: a Threaded
+    /// session borrows the server's worker pool `fleet` for the batch
+    /// (launching it into `fleet` if `None`; each seat resyncs to this
+    /// session on its next dispatch); a Modeled one leaves it alone.
+    pub(crate) fn submit_batch_on(
+        &mut self,
+        fleet: &mut Option<WorkerPool>,
+        owner: usize,
+        inputs: &[&str],
+    ) -> Result<Vec<Reply>> {
+        let Some(hook) = &mut self.threaded else {
+            return self.submit_batch(inputs);
+        };
+        hook.swap_pool(fleet, owner);
+        let replies = self.submit_batch(inputs);
+        threaded(&mut self.threaded).swap_pool(fleet, owner);
+        replies
     }
 
     fn submit_inner(&mut self, input: &str, reference: bool) -> Result<Reply> {

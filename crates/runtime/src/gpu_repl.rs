@@ -54,9 +54,6 @@ pub struct GpuReplConfig {
     pub kernel: KernelConfig,
     /// Interpreter limits.
     pub interp: InterpConfig,
-    /// Run the mark-sweep collector after every command, keeping long
-    /// interactive sessions inside the fixed arena.
-    pub gc_between_commands: bool,
     /// Command buffer capacity in bytes (both directions, per device).
     pub cmdbuf_capacity: usize,
     /// Host-side file services exposed to device code (`read-file` etc.,
@@ -84,7 +81,6 @@ impl Default for GpuReplConfig {
         Self {
             kernel: KernelConfig::default(),
             interp: InterpConfig::default(),
-            gc_between_commands: true,
             cmdbuf_capacity: 1 << 16,
             host_io: None,
             device_count: 1,
@@ -127,13 +123,7 @@ impl GpuRepl {
             })
             .collect();
         Self {
-            pipe: Pipeline::new(
-                spec,
-                &config.interp,
-                config.host_io,
-                config.gc_between_commands,
-                config.cache,
-            ),
+            pipe: Pipeline::new(spec, &config.interp, config.host_io, config.cache),
             devices,
             fault_plan: config.fault_plan,
             scratch_cycles: Vec::new(),
@@ -183,13 +173,6 @@ impl GpuRepl {
     /// [`GpuRepl::submit`].
     pub fn submit_reference(&mut self, input: &str) -> Result<Reply> {
         self.submit(input)
-    }
-
-    /// Session-server routing hook, mirroring `CpuRepl::release_warm_forks`:
-    /// a GPU session's persistent kernels are its tenant state, not a
-    /// shared-resource cache, so there is nothing to evict; always 0.
-    pub fn release_warm_forks(&mut self) -> usize {
-        0
     }
 
     /// Submits a stream of commands through the shared

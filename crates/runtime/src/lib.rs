@@ -21,9 +21,9 @@
 //!   every backend implements.
 //! * [`session::Session`] — one facade over every backend.
 //! * [`server::SessionServer`] — the multi-tenant layer: fair-share
-//!   admission (deficit round-robin), structured backpressure, per-tenant
-//!   containment/quarantine and LRU warm-fork eviction over many
-//!   concurrent sessions.
+//!   admission (deficit round-robin), structured backpressure and
+//!   per-tenant containment/quarantine over many concurrent sessions,
+//!   which share one worker fleet lent to each in turn.
 //! * [`phases`] — operation counts → cycles → per-phase milliseconds.
 
 #![forbid(unsafe_code)]

@@ -304,7 +304,6 @@ pub(crate) struct Pipeline {
     pub(crate) interp: Interp,
     spec: DeviceSpec,
     fuel_budget: u64,
-    gc_between_commands: bool,
     pub(crate) cache: Option<CommandCache>,
     /// Parsed forms and staged job trees of batch commands that have not
     /// run yet: GC roots while earlier commands finish.
@@ -328,7 +327,6 @@ impl Pipeline {
         spec: DeviceSpec,
         config: &InterpConfig,
         host_io: Option<culi_core::hostio::HostIoHandle>,
-        gc_between_commands: bool,
         cache: Option<CommandCache>,
     ) -> Self {
         let mut interp = Interp::new(config.clone());
@@ -337,7 +335,6 @@ impl Pipeline {
             interp,
             spec,
             fuel_budget: config.fuel_budget,
-            gc_between_commands,
             cache,
             batch_roots: Vec::new(),
             barrier_roots: Vec::new(),
@@ -613,9 +610,6 @@ impl Pipeline {
     /// Between-command collection, keeping not-yet-run batch commands
     /// (parsed forms, staged job trees, a barrier's forms) alive.
     pub(crate) fn gc(&mut self) {
-        if !self.gc_between_commands {
-            return;
-        }
         let roots = if self.barrier_roots.is_empty() {
             &self.batch_roots
         } else if self.batch_roots.is_empty() {

@@ -85,6 +85,13 @@
 //! values stay rooted by its global bindings; job temporaries die), so a
 //! warm worker's arena stays at its steady-state high-water mark.
 //!
+//! The session server lends one pool to whichever tenant it serves. When
+//! a different tenant than its replicas are synced to stages a section,
+//! the pool soft-poisons every seat, so each seat's next dispatch is that
+//! same repairing snapshot (which collects the replaced values before
+//! decoding). What a fork would copy from its master — fuel budget, heap
+//! limit, arena capacity, fault plan — rides in every message instead.
+//!
 //! # Fault model and watchdog (PR 6)
 //!
 //! A worker that never replies would wedge the whole pipeline behind its
@@ -223,6 +230,30 @@ fn hang_duration(deadline: Duration) -> Duration {
     deadline * 4
 }
 
+/// What a replica obeys of the session it serves, carried by every
+/// message so a pool lent across sessions serves each under its own
+/// limits and fault script.
+#[derive(Debug, Default)]
+struct SeatTerms {
+    fuel_budget: u64,
+    heap_limit: usize,
+    arena_capacity: usize,
+    fault_plan: FaultPlan,
+    hang_for: Duration,
+}
+
+impl SeatTerms {
+    fn of(master: &Interp, fault_plan: &FaultPlan, hang_for: Duration) -> Self {
+        Self {
+            fuel_budget: master.meter.fuel_budget(),
+            heap_limit: master.config.heap_limit,
+            arena_capacity: master.arena.capacity(),
+            fault_plan: fault_plan.clone(),
+            hang_for,
+        }
+    }
+}
+
 /// One dispatch message: a **run** of one or more consecutive sections
 /// for one seat, plus the synchronization payload. Every buffer is
 /// recycled across runs by round-tripping master → worker → master.
@@ -237,6 +268,8 @@ struct SectionMsg {
     snapshot: EnvSnapshot,
     /// Synchronize via `snapshot` instead of `sync`.
     use_snapshot: bool,
+    /// The serving session's terms.
+    terms: SeatTerms,
     /// Continue a partially-executed run (after a mid-run dirty stop):
     /// keep recorded outcomes and resume at section `completed` instead
     /// of starting over.
@@ -352,14 +385,12 @@ struct Seat {
 }
 
 impl Seat {
-    fn launch(template: &Interp, plan: &FaultPlan, hang_for: Duration) -> Self {
+    fn launch(template: &Interp) -> Self {
         let to = Arc::new(Postbox::new());
         let from = Arc::new(Postbox::new());
         let interp = template.clone();
-        let worker_plan = plan.clone();
         let (to2, from2) = (Arc::clone(&to), Arc::clone(&from));
-        let handle =
-            std::thread::spawn(move || worker_loop(interp, &to2, &from2, worker_plan, hang_for));
+        let handle = std::thread::spawn(move || worker_loop(interp, &to2, &from2));
         Self {
             to,
             from,
@@ -382,12 +413,7 @@ impl Seat {
     /// consumed first as synthetic panic-shaped replies; a live take that
     /// blows `deadline` detaches the seat (see
     /// [`Seat::detach_respawn`]) and is written off the same way.
-    fn take_reply_within(
-        &mut self,
-        template: &Interp,
-        plan: &FaultPlan,
-        deadline: Duration,
-    ) -> SectionReply {
+    fn take_reply_within(&mut self, template: &Interp, deadline: Duration) -> SectionReply {
         fn synthetic() -> SectionReply {
             SectionReply {
                 msg: Box::default(),
@@ -406,7 +432,7 @@ impl Seat {
                 reply
             }
             None => {
-                self.detach_respawn(template, plan, hang_duration(deadline));
+                self.detach_respawn(template);
                 debug_assert!(
                     self.lost_replies > 0,
                     "deadline blown with nothing in flight"
@@ -432,12 +458,12 @@ impl Seat {
     /// Replaces this seat's worker thread with a fresh fork of `template`
     /// (the panic-recovery path — the only post-warm-up interpreter
     /// clone). Requires all outstanding replies to have been drained.
-    fn respawn(&mut self, template: &Interp, plan: &FaultPlan, hang_for: Duration) {
+    fn respawn(&mut self, template: &Interp) {
         debug_assert_eq!(self.outstanding, 0, "respawn with replies in flight");
         self.shutdown();
         let bufs = std::mem::take(&mut self.bufs);
         let lost = self.lost_replies;
-        *self = Seat::launch(template, plan, hang_for);
+        *self = Seat::launch(template);
         // Keep the old buffer sets (they are already shrunk to cap) and
         // the write-off credits still owed to uncollected runs.
         self.bufs = bufs;
@@ -453,12 +479,12 @@ impl Seat {
     /// *is* the state every in-flight message was staged against), and
     /// every in-flight message is written off — its buffers are
     /// unrecoverable.
-    fn detach_respawn(&mut self, template: &Interp, plan: &FaultPlan, hang_for: Duration) {
+    fn detach_respawn(&mut self, template: &Interp) {
         let _ = self.to.try_put(ToWorker::Shutdown);
         drop(self.handle.take());
         let lost = self.outstanding + self.lost_replies;
         let bufs = std::mem::take(&mut self.bufs);
-        *self = Seat::launch(template, plan, hang_for);
+        *self = Seat::launch(template);
         self.bufs = bufs;
         self.lost_replies = lost;
     }
@@ -517,13 +543,7 @@ enum Poison {
     Hard,
 }
 
-fn worker_loop(
-    mut interp: Interp,
-    to: &Postbox<ToWorker>,
-    from: &Postbox<SectionReply>,
-    plan: FaultPlan,
-    hang_for: Duration,
-) {
+fn worker_loop(mut interp: Interp, to: &Postbox<ToWorker>, from: &Postbox<SectionReply>) {
     let mut poison = Poison::None;
     loop {
         match to.take() {
@@ -546,13 +566,13 @@ fn worker_loop(
                 }
                 // One fault-injection event per *accepted* section
                 // message (refusals are protocol traffic, not work).
-                let fault = plan.poll(FaultSite::WorkerSection);
+                let fault = msg.terms.fault_plan.poll(FaultSite::WorkerSection);
                 if fault == Some(FaultKind::Hang) {
                     // Injected stall: blow the master's watchdog deadline,
                     // then carry on — the master has detached this seat by
                     // the time we wake, so the late reply lands in an
                     // orphaned postbox.
-                    std::thread::sleep(hang_for);
+                    std::thread::sleep(msg.terms.hang_for);
                 }
                 let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     if fault == Some(FaultKind::Panic) {
@@ -647,14 +667,20 @@ fn run_msg(interp: &mut Interp, msg: &mut SectionMsg) -> MsgRun {
         msg.section_counters.clear();
     }
     let sections = msg.section_count();
+    interp.arena.set_capacity(msg.terms.arena_capacity);
     // A failed sync leaves this fork in an unspecified intermediate
     // state: every remaining section fails, and the dirty flag makes the
     // next dispatch resynchronize from a snapshot.
     let synced = if msg.use_snapshot {
+        // No heap cap for the apply: the master already holds these
+        // values within its own cap (the apply collects the replaced
+        // ones first, so only decoding's unsharing could push past it).
+        interp.arena.set_node_limit(usize::MAX);
         msg.snapshot.apply(interp)
     } else {
         msg.sync.apply(interp)
     };
+    interp.arena.set_node_limit(msg.terms.heap_limit);
     if let Err(e) = synced {
         for s in msg.completed as usize..sections {
             msg.section_results.push(0);
@@ -719,8 +745,7 @@ fn run_msg(interp: &mut Interp, msg: &mut SectionMsg) -> MsgRun {
             // stale (cloned from the master at warm-up), and a shared
             // window would make a job's abort depend on how much its
             // seat has already executed.
-            let budget = interp.meter.fuel_budget();
-            interp.meter.arm_fuel(budget);
+            interp.meter.arm_fuel(msg.terms.fuel_budget);
             let before = interp.meter.snapshot();
             let outcome = eval(interp, &mut SequentialHook, job, env, 0);
             counters.add(&interp.meter.snapshot().delta_since(&before));
@@ -809,6 +834,12 @@ pub struct WorkerPool {
     /// Deterministic fault script the workers poll (empty in
     /// production: one branch per section message).
     fault_plan: FaultPlan,
+    /// Seats a section's jobs chunk over: the serving session's thread
+    /// count (seats beyond it idle while that session borrows the pool).
+    width: usize,
+    /// The server tenant whose session the replicas serve (`None`
+    /// outside a server).
+    owner: Option<usize>,
 }
 
 impl WorkerPool {
@@ -820,10 +851,9 @@ impl WorkerPool {
     pub const MAX_RUN_SECTIONS: usize = 16;
 
     /// Retained-capacity cap per recycled dispatch buffer (see
-    /// [`WorkerPool::retained_buffer_bytes`]). Public so layers that
-    /// manage many pools — the session server's warm-fork eviction —
-    /// can budget their total retained memory in the same units the
-    /// per-buffer shrink policy enforces.
+    /// [`WorkerPool::retained_buffer_bytes`]). Public so other retained
+    /// buffers — the command cache's tiers — can budget in the same
+    /// units.
     pub const RETAINED_MSG_BYTES: usize = RETAINED_MSG_BYTES;
 
     /// Default watchdog deadline for one reply take. Deliberately
@@ -854,22 +884,48 @@ impl WorkerPool {
         reply_deadline: Duration,
         fault_plan: FaultPlan,
     ) -> Self {
-        let hang_for = hang_duration(reply_deadline);
-        let seats = (0..threads.max(1))
-            .map(|_| Seat::launch(template, &fault_plan, hang_for))
-            .collect();
+        let width = threads.max(1);
+        let seats = (0..width).map(|_| Seat::launch(template)).collect();
         Self {
             seats,
             pending: VecDeque::new(),
             job_counters: Counters::default(),
             reply_deadline,
             fault_plan,
+            width,
+            owner: None,
         }
     }
 
-    /// Number of worker seats.
-    pub fn size(&self) -> usize {
-        self.seats.len()
+    /// The server tenant the replicas last served.
+    pub(crate) fn owner(&self) -> Option<usize> {
+        self.owner
+    }
+
+    /// Hands the pool to `owner`'s session, which chunks its sections
+    /// over `threads` seats under its own watchdog deadline and fault
+    /// plan. A different owner than the last soft-poisons every seat, so
+    /// each one's next dispatch resyncs it from a snapshot of the new
+    /// owner's master. Only whole runs change hands: nothing may be
+    /// staged.
+    fn serve(
+        &mut self,
+        owner: Option<usize>,
+        threads: usize,
+        reply_deadline: Duration,
+        plan: &FaultPlan,
+    ) {
+        if self.owner == owner {
+            return;
+        }
+        assert!(self.pending.is_empty(), "pool switched with runs in flight");
+        self.owner = owner;
+        self.width = threads.max(1);
+        self.reply_deadline = reply_deadline;
+        self.fault_plan = plan.clone();
+        for seat in &mut self.seats {
+            seat.soft_poisoned = true;
+        }
     }
 
     /// Number of staged runs not yet fully collected.
@@ -955,7 +1011,7 @@ impl WorkerPool {
                 // can leave fewer chunks than seats (e.g. 5 jobs over 4
                 // seats chunk in threes: 2+2+1), so recompute from the
                 // chunk size instead of assuming one chunk per seat.
-                let t = self.seats.len().min(jobs.len()).max(1);
+                let t = self.width.min(jobs.len()).max(1);
                 let chunk_size = jobs.len().div_ceil(t);
                 jobs.len().div_ceil(chunk_size)
             };
@@ -963,9 +1019,13 @@ impl WorkerPool {
             active_seats = active_seats.max(active);
         }
         let faithful = interp.envs.sync_replay_faithful_since();
-        let nseats = self.seats.len();
+        let nseats = self.width;
         let plan = self.fault_plan.clone();
         let hang_for = hang_duration(self.reply_deadline);
+        // A borrower wider than the pool gets its extra seats forked now.
+        while self.seats.len() < nseats {
+            self.seats.push(Seat::launch(interp));
+        }
         // The whole-environment snapshot is identical for every seat that
         // needs one: encode it once per dispatch and memcpy it into each
         // message instead of re-walking the environment per seat.
@@ -973,7 +1033,7 @@ impl WorkerPool {
         for c in 0..active_seats {
             let seat = &mut self.seats[c];
             if seat.hard_poisoned && seat.outstanding == 0 {
-                seat.respawn(interp, &plan, hang_for);
+                seat.respawn(interp);
             }
             let mut msg = seat.bufs.pop().expect("seat staged past its buffers");
             // Snapshot-vs-replay decision (module docs): a snapshot is
@@ -1002,6 +1062,7 @@ impl WorkerPool {
                 msg.sync.encode_since(interp, seat.synced_epoch);
             }
             msg.resume = false;
+            msg.terms = SeatTerms::of(interp, &plan, hang_for);
             msg.chain.encode(interp, parent_env);
             msg.jobs.clear();
             msg.section_jobs.clear();
@@ -1061,7 +1122,6 @@ impl WorkerPool {
         epoch: u64,
         c: usize,
         deadline: Duration,
-        plan: &FaultPlan,
     ) -> (bool, Box<SectionMsg>) {
         /// Drains the (expected-refused) replies still owed on `seat`
         /// behind an out-of-band head reply: FIFO messages, whether a
@@ -1078,14 +1138,13 @@ impl WorkerPool {
         fn drain_owed(
             seat: &mut Seat,
             interp: &Interp,
-            plan: &FaultPlan,
             deadline: Duration,
         ) -> (Vec<Box<SectionMsg>>, bool, bool) {
             let mut parked = Vec::new();
             let mut saw_hard = false;
             let mut detached = false;
             while seat.outstanding > 0 {
-                let r = seat.take_reply_within(interp, plan, deadline);
+                let r = seat.take_reply_within(interp, deadline);
                 if r.panicked && !r.refused {
                     seat.lost_replies += 1;
                     detached = true;
@@ -1099,7 +1158,7 @@ impl WorkerPool {
         }
 
         let seat = &mut seats[c];
-        let mut reply = seat.take_reply_within(interp, plan, deadline);
+        let mut reply = seat.take_reply_within(interp, deadline);
         loop {
             if reply.panicked && !reply.refused {
                 // A real panic reply or a synthetic watchdog write-off:
@@ -1118,7 +1177,7 @@ impl WorkerPool {
                 // messages were staged against.
                 let mut parked = vec![reply.msg];
                 let saw_hard_head = reply.panicked;
-                let (rest, saw_hard_rest, detached) = drain_owed(seat, interp, plan, deadline);
+                let (rest, saw_hard_rest, detached) = drain_owed(seat, interp, deadline);
                 parked.extend(rest);
                 let saw_hard = saw_hard_head || saw_hard_rest;
                 if detached {
@@ -1129,7 +1188,7 @@ impl WorkerPool {
                 } else if saw_hard {
                     // Hard poison: respawn the thread from the current
                     // master; the fresh fork needs no sync at all.
-                    seat.respawn(interp, plan, hang_duration(deadline));
+                    seat.respawn(interp);
                     seat.resend_parked(interp, parked, false, false);
                 } else {
                     // Soft poison: the first re-sent message carries a
@@ -1138,7 +1197,7 @@ impl WorkerPool {
                     seat.synced_epoch = epoch;
                     seat.resend_parked(interp, parked, true, false);
                 }
-                reply = seat.take_reply_within(interp, plan, deadline);
+                reply = seat.take_reply_within(interp, deadline);
                 continue;
             }
             if !reply_shape_valid(&reply.msg) {
@@ -1157,14 +1216,14 @@ impl WorkerPool {
                 // order. (After a mid-drain detach the relaunched fork
                 // already *is* the master state, so the resume rides on
                 // an empty sync instead of a snapshot.)
-                let (parked, _saw_hard, detached) = drain_owed(seat, interp, plan, deadline);
+                let (parked, _saw_hard, detached) = drain_owed(seat, interp, deadline);
                 let mut run = vec![reply.msg];
                 run.extend(parked);
                 if !detached {
                     seat.synced_epoch = epoch;
                 }
                 seat.resend_parked(interp, run, !detached, true);
-                reply = seat.take_reply_within(interp, plan, deadline);
+                reply = seat.take_reply_within(interp, deadline);
                 continue;
             }
             // Fully executed. A dirty *last* section leaves the worker
@@ -1176,7 +1235,7 @@ impl WorkerPool {
             // next stage ships a snapshot.
             if reply.dirty {
                 if seat.outstanding > 0 {
-                    let (parked, _saw_hard, detached) = drain_owed(seat, interp, plan, deadline);
+                    let (parked, _saw_hard, detached) = drain_owed(seat, interp, deadline);
                     if !detached {
                         seat.synced_epoch = epoch;
                     }
@@ -1199,7 +1258,6 @@ impl WorkerPool {
         results: &mut Vec<NodeId>,
     ) -> culi_core::Result<()> {
         let deadline = self.reply_deadline;
-        let plan = self.fault_plan.clone();
         let run = self
             .pending
             .front_mut()
@@ -1212,7 +1270,6 @@ impl WorkerPool {
                     run.epoch,
                     c,
                     deadline,
-                    &plan,
                 ));
             }
         }
@@ -1343,6 +1400,8 @@ pub(crate) fn run_jobs_sequential_reference(
 /// docs for the synchronization protocol.
 #[derive(Debug)]
 pub struct ThreadedHook {
+    /// The server tenant this session is (see [`ThreadedHook::swap_pool`]).
+    owner: Option<usize>,
     threads: usize,
     reply_deadline: Duration,
     fault_plan: FaultPlan,
@@ -1369,6 +1428,7 @@ impl ThreadedHook {
     /// harness).
     pub fn with_watchdog(threads: usize, reply_deadline: Duration, fault_plan: FaultPlan) -> Self {
         Self {
+            owner: None,
             threads,
             reply_deadline,
             fault_plan,
@@ -1377,41 +1437,34 @@ impl ThreadedHook {
         }
     }
 
-    /// The configured worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// `true` once the pool has been forked (diagnostics/tests).
-    pub fn is_warm(&self) -> bool {
-        self.pool.is_some()
-    }
-
-    /// Joins and drops the warm pool; the next section re-forks it.
-    pub fn release(&mut self) {
-        self.pool = None;
-    }
-
-    /// The pool, forking it from `interp` on first use.
+    /// The pool, forking it from `interp` on first use and taking it
+    /// over from the tenant it last served.
     pub fn pool_mut(&mut self, interp: &Interp) -> &mut WorkerPool {
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::launch_with(
+        let pool = self.pool.get_or_insert_with(|| {
+            let mut pool = WorkerPool::launch_with(
                 interp,
                 self.threads,
                 self.reply_deadline,
                 self.fault_plan.clone(),
-            ));
-        }
-        self.pool.as_mut().expect("pool just ensured")
+            );
+            pool.owner = self.owner;
+            pool
+        });
+        pool.serve(
+            self.owner,
+            self.threads,
+            self.reply_deadline,
+            &self.fault_plan,
+        );
+        pool
     }
 
-    /// Bytes of dispatch-buffer capacity the warm pool currently retains
-    /// (zero while cold) — the quantity the session server's LRU
-    /// eviction budgets against [`WorkerPool::RETAINED_MSG_BYTES`].
-    pub fn retained_buffer_bytes(&self) -> usize {
-        self.pool
-            .as_ref()
-            .map_or(0, WorkerPool::retained_buffer_bytes)
+    /// Makes this the session of server tenant `owner` and swaps its
+    /// pool with `pool`: called once to borrow the server's pool and once
+    /// to hand it (or the one launched meanwhile) back.
+    pub(crate) fn swap_pool(&mut self, pool: &mut Option<WorkerPool>, owner: usize) {
+        self.owner = Some(owner);
+        std::mem::swap(&mut self.pool, pool);
     }
 
     /// Worker-side job charges collected since the last call (zero when
@@ -1439,17 +1492,11 @@ impl ParallelHook for ThreadedHook {
         parent_env: EnvId,
         results: &mut Vec<NodeId>,
     ) -> culi_core::Result<()> {
-        if self.pool.is_none() {
-            self.pool = Some(WorkerPool::launch_with(
-                interp,
-                self.threads,
-                self.reply_deadline,
-                self.fault_plan.clone(),
-            ));
-        }
         let base = results.len();
-        let pool = self.pool.as_mut().expect("pool just ensured");
-        match pool.execute(interp, jobs, parent_env, results) {
+        match self
+            .pool_mut(interp)
+            .execute(interp, jobs, parent_env, results)
+        {
             Err(e) if e.code() == ErrorCode::Device => {
                 // A seat was written off mid-section (the pool has
                 // already relaunched it). The workers' partial results
@@ -1511,9 +1558,9 @@ mod tests {
             i.eval_str("(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))")
                 .unwrap();
             let mut hook = ThreadedHook::new(workers);
-            assert!(!hook.is_warm());
+            assert!(hook.pool.is_none());
             run(&mut i, &mut hook, section);
-            assert!(hook.is_warm());
+            assert!(hook.pool.is_some());
             let clones_after_warmup = i.clone_count();
             for _ in 0..count {
                 assert_eq!(run(&mut i, &mut hook, section), want);

@@ -70,22 +70,21 @@
 //! the `Degraded` marker of an *offending* tenant. The differential
 //! fault sweep asserts this under scripted hostile-tenant plans.
 //!
-//! # Warm-set economics
+//! # One worker fleet
 //!
 //! Forking a worker pool per tenant costs threads × an interpreter clone
 //! — ruinous at hundreds of tenants, which is exactly the naive baseline
-//! the `gate` bench binary measures (`multi_tenant_speedup`). The server instead serves **cold** tenants
-//! through the sequential reference (no pool, no forks) and promotes a
-//! tenant to the **warm** route only after
-//! [`ServerConfig::promote_after`] executed commands. The warm set is
-//! LRU-bounded ([`ServerConfig::warm_limit`] pools,
-//! [`ServerConfig::warm_retained_bytes`] of retained dispatch buffers —
-//! the same `RETAINED_MSG_BYTES` discipline the pool's shrink policy
-//! enforces per buffer); evicted tenants fall back to the cold route and
-//! transparently re-fork if promoted again.
+//! the `gate` bench binary measures (`multi_tenant_speedup`). Like the
+//! paper's one persistent kernel (§III-D), the server owns one
+//! [`WorkerPool`], forked by the first warm section, and lends it to the
+//! tenant it serves: a switch resyncs each seat by snapshot, and the
+//! tenant's sections chunk over [`TenantSessionConfig::threads`] seats.
+//! **Cold** tenants (under [`ServerConfig::promote_after`] executed
+//! commands) run on the sequential reference and never touch it.
 
 use crate::cache::{CacheConfig, CacheStats, CommandCache};
 use crate::phases::CommandCounters;
+use crate::pool::WorkerPool;
 use crate::reply::Reply;
 use crate::session::{Session, TenantSessionConfig};
 use culi_core::fault::{FaultKind, FaultSite};
@@ -124,12 +123,6 @@ pub struct ServerConfig {
     pub quantum: usize,
     /// Most commands of one tenant dispatched into its session at once.
     pub max_inflight: usize,
-    /// Most tenants holding a warm (forked) worker pool at once.
-    pub warm_limit: usize,
-    /// Total dispatch-buffer bytes the warm set may retain before LRU
-    /// eviction kicks in (the pool's `RETAINED_MSG_BYTES` discipline,
-    /// summed across tenants).
-    pub warm_retained_bytes: usize,
     /// Executed commands before a tenant is promoted off the cold
     /// (sequential-reference) route onto the pooled route.
     pub promote_after: u64,
@@ -152,10 +145,7 @@ impl Default for ServerConfig {
             queue_capacity: 64,
             global_queue_capacity: 4096,
             quantum: 8,
-            max_inflight: crate::pool::WorkerPool::PIPELINE_DEPTH
-                * crate::pool::WorkerPool::MAX_RUN_SECTIONS,
-            warm_limit: 4,
-            warm_retained_bytes: 4 * 4 * crate::pool::WorkerPool::RETAINED_MSG_BYTES,
+            max_inflight: WorkerPool::PIPELINE_DEPTH * WorkerPool::MAX_RUN_SECTIONS,
             promote_after: 32,
             quarantine_threshold: 8,
             reject_threshold: 16,
@@ -183,7 +173,8 @@ pub struct TenantStats {
     pub failed: u64,
     /// Ok replies demoted to [`ErrorCode::Degraded`] under quarantine.
     pub degraded: u64,
-    /// Warm-fork evictions this tenant absorbed.
+    /// Times another tenant's section took the worker fleet over from
+    /// this tenant.
     pub evictions: u64,
     /// Largest single dispatch into the session (must stay within
     /// [`ServerConfig::max_inflight`]; the proptest suite asserts it).
@@ -200,8 +191,6 @@ pub struct TenantSnapshot {
     pub stats: TenantStats,
     /// Current failure score (0 = spotless).
     pub failure_score: u32,
-    /// `true` while the tenant holds a warm worker pool.
-    pub warm: bool,
     /// Commands currently queued.
     pub queued: usize,
 }
@@ -213,10 +202,6 @@ pub struct ServerStats {
     pub rounds: u64,
     /// Commands queued across all tenants right now.
     pub queued: usize,
-    /// Tenants currently holding a warm pool.
-    pub warm_tenants: usize,
-    /// Dispatch-buffer bytes retained by the warm set right now.
-    pub retained_warm_bytes: usize,
     /// Command-cache hit/miss/evict counters (all zero when the cache is
     /// disabled). Verdict/template counters are fleet-wide; reply
     /// counters aggregate every tenant's private tier.
@@ -231,11 +216,6 @@ struct Tenant {
     cfg: TenantSessionConfig,
     queue: VecDeque<String>,
     deficit: u64,
-    /// Monotonic serve-clock stamp of this tenant's most recent service
-    /// (LRU stamp for warm-set eviction). A per-serve clock, not the
-    /// round number: round-granular stamps tie within a round and break
-    /// by tenant index, which re-evicted freshly re-warmed tenants.
-    served_stamp: u64,
     failure_score: u32,
     /// Consecutive [`ErrorCode::Degraded`] ok replies since the last
     /// score decay (degraded successes decay at half rate).
@@ -252,9 +232,9 @@ pub struct SessionServer {
     tenants: Vec<Tenant>,
     rr_cursor: usize,
     round: u64,
-    /// Monotonic per-serve clock backing the warm-set LRU stamps.
-    serve_clock: u64,
     queued_total: usize,
+    /// The worker pool warm tenants borrow (`None` until launched).
+    fleet: Option<WorkerPool>,
     /// The fleet's shared command cache (`None` when disabled); tenants
     /// receive [`CommandCache::tenant_view`]s of it at admission.
     cache: Option<CommandCache>,
@@ -277,8 +257,8 @@ impl SessionServer {
             tenants: Vec::new(),
             rr_cursor: 0,
             round: 0,
-            serve_clock: 0,
             queued_total: 0,
+            fleet: None,
             cache,
         }
     }
@@ -299,7 +279,6 @@ impl SessionServer {
             cfg,
             queue: VecDeque::new(),
             deficit: 0,
-            served_stamp: 0,
             failure_score: 0,
             degraded_ok_streak: 0,
             stats: TenantStats::default(),
@@ -367,7 +346,6 @@ impl SessionServer {
             out.extend(replies.into_iter().map(|r| (TenantId(idx), r)));
         }
         self.rr_cursor = (self.rr_cursor + 1) % n;
-        self.maintain_warm_set();
         out
     }
 
@@ -388,10 +366,7 @@ impl SessionServer {
         let quarantine_threshold = self.config.quarantine_threshold;
         let reject_threshold = self.config.reject_threshold;
         let promote_after = self.config.promote_after;
-        self.serve_clock += 1;
-        let stamp = self.serve_clock;
         let t = &mut self.tenants[idx];
-        t.served_stamp = stamp;
         t.stats.max_inflight_seen = t.stats.max_inflight_seen.max(take);
 
         let mut cmds = Vec::with_capacity(take);
@@ -415,6 +390,7 @@ impl SessionServer {
         // Each reply is paired with whether the command actually reached
         // the runtime; refusals stay out of the deficit charge and the
         // executed/ok/failed meters.
+        let mut switched_from = None;
         let mut replies: Vec<(Reply, bool)> = Vec::with_capacity(cmds.len());
         if rejected {
             // Terminal shedding: never executed, never silent.
@@ -430,7 +406,13 @@ impl SessionServer {
             }
         } else if warm_route {
             let refs: Vec<&str> = cmds.iter().map(String::as_str).collect();
-            match t.session.submit_batch(&refs) {
+            let last_owner = self.fleet.as_ref().and_then(WorkerPool::owner);
+            let batch = t.session.submit_batch_on(&mut self.fleet, idx, &refs);
+            // The fleet moved here only if this batch ran a section.
+            if self.fleet.as_ref().and_then(WorkerPool::owner) != last_owner {
+                switched_from = last_owner;
+            }
+            match batch {
                 Ok(batch) => replies.extend(batch.into_iter().map(|r| (r, true))),
                 // A session-level failure (device lost, closed): one
                 // structured error reply per command keeps the tenant's
@@ -508,30 +490,10 @@ impl SessionServer {
                 }
             }
         }
-        (replies.into_iter().map(|(r, _)| r).collect(), executed)
-    }
-
-    /// LRU-evicts warm forks until both warm-set bounds hold: at most
-    /// [`ServerConfig::warm_limit`] warm tenants, retaining at most
-    /// [`ServerConfig::warm_retained_bytes`] of dispatch buffers.
-    fn maintain_warm_set(&mut self) {
-        loop {
-            let warm: Vec<usize> = (0..self.tenants.len())
-                .filter(|&i| self.tenants[i].session.has_warm_forks())
-                .collect();
-            let retained: usize = warm
-                .iter()
-                .map(|&i| self.tenants[i].session.retained_warm_bytes())
-                .sum();
-            if warm.len() <= self.config.warm_limit && retained <= self.config.warm_retained_bytes {
-                return;
-            }
-            let Some(&lru) = warm.iter().min_by_key(|&&i| self.tenants[i].served_stamp) else {
-                return;
-            };
-            self.tenants[lru].session.release_warm_forks();
-            self.tenants[lru].stats.evictions += 1;
+        if let Some(prev) = switched_from {
+            self.tenants[prev].stats.evictions += 1;
         }
+        (replies.into_iter().map(|(r, _)| r).collect(), executed)
     }
 
     /// Point-in-time metering snapshot across every tenant.
@@ -542,19 +504,12 @@ impl SessionServer {
             .map(|t| TenantSnapshot {
                 stats: t.stats,
                 failure_score: t.failure_score,
-                warm: t.session.has_warm_forks(),
                 queued: t.queue.len(),
             })
             .collect();
         ServerStats {
             rounds: self.round,
             queued: self.queued_total,
-            warm_tenants: tenants.iter().filter(|t| t.warm).count(),
-            retained_warm_bytes: self
-                .tenants
-                .iter()
-                .map(|t| t.session.retained_warm_bytes())
-                .sum(),
             cache: self
                 .cache
                 .as_ref()
@@ -564,9 +519,11 @@ impl SessionServer {
         }
     }
 
-    /// Shuts every tenant session down (queued commands are discarded —
-    /// callers wanting lossless teardown drain first).
+    /// Shuts every tenant session and the worker fleet down (queued
+    /// commands are discarded — callers wanting lossless teardown drain
+    /// first).
     pub fn shutdown(&mut self) {
+        self.fleet = None; // joins the fleet's workers
         for t in &mut self.tenants {
             t.session.shutdown();
             self.queued_total -= t.queue.len();
@@ -615,6 +572,21 @@ mod tests {
 
     fn small_server(config: ServerConfig) -> SessionServer {
         SessionServer::new(intel_e5_2620(), config)
+    }
+
+    /// Asserts `got` byte-identical (output, ok, code, counters) to
+    /// `stream` submitted to an isolated session of `cfg`.
+    fn assert_matches_isolated(got: &[Reply], stream: &[String], cfg: &TenantSessionConfig) {
+        let mut isolated = Session::tenant(intel_e5_2620(), cfg);
+        assert_eq!(got.len(), stream.len());
+        for (got, cmd) in got.iter().zip(stream) {
+            let want = isolated.submit(cmd).unwrap();
+            assert_eq!(got.output, want.output, "{cmd}");
+            assert_eq!(got.ok, want.ok, "{cmd}");
+            assert_eq!(got.code, want.code, "{cmd}");
+            assert_eq!(got.counters, want.counters, "{cmd}");
+        }
+        isolated.shutdown();
     }
 
     #[test]
@@ -788,35 +760,68 @@ mod tests {
     }
 
     #[test]
-    fn warm_set_is_lru_bounded_with_transparent_rewarm() {
-        let mut srv = small_server(ServerConfig {
-            warm_limit: 1,
-            promote_after: 0, // every tenant rides the pooled route
-            ..Default::default()
-        });
-        let a = srv.admit(tenant_cfg());
-        let b = srv.admit(tenant_cfg());
-        let section = "(||| 2 + (1 2) (3 4))";
-        // Serve A's section: A warms.
-        assert!(srv.enqueue(a, section).is_none());
-        let replies = srv.drain();
-        assert_eq!(replies[0].1.output, "(4 6)");
-        assert!(srv.server_stats().tenants[a.index()].warm);
-        // Serve B's section: B warms, A (the LRU) is evicted.
-        assert!(srv.enqueue(b, section).is_none());
-        let replies = srv.drain();
-        assert_eq!(replies[0].1.output, "(4 6)");
-        let stats = srv.server_stats();
-        assert_eq!(stats.warm_tenants, 1);
-        assert!(stats.tenants[b.index()].warm);
-        assert!(!stats.tenants[a.index()].warm);
-        assert_eq!(stats.tenants[a.index()].stats.evictions, 1);
-        // A returns: transparent re-warm, identical behaviour.
-        assert!(srv.enqueue(a, section).is_none());
-        let replies = srv.drain();
-        assert_eq!(replies[0].1.output, "(4 6)");
-        assert_eq!(srv.server_stats().warm_tenants, 1);
-        srv.shutdown();
+    fn fleet_switches_between_tenants_without_forking() {
+        // Each round serves every (warm) tenant in turn, so the fleet
+        // switches tenant at every section. The erroring section's job
+        // counters depend on how its jobs chunk over seats: the 2- and
+        // 3-thread pair checks that each tenant keeps its own width.
+        let stream = |t: usize| {
+            [
+                "(||| 2 + (1 2) (3 4))",
+                "(setq v #)",
+                "(defun f (x) (+ x v))",
+                "(||| 3 f (10 20 30))",
+                "(||| 6 / (6 6 6 6 6 6) (1 0 1 1 1 1))",
+                "(setq v (* 2 #))",
+                "(||| 3 f (10 20 30))",
+            ]
+            .map(|cmd| cmd.replace('#', &t.to_string()))
+        };
+        for threads in [vec![2; 16], vec![2, 3]] {
+            let mut srv = small_server(ServerConfig {
+                promote_after: 0,
+                ..Default::default()
+            });
+            let cfgs: Vec<_> = threads
+                .iter()
+                .map(|&threads| TenantSessionConfig {
+                    threads,
+                    ..tenant_cfg()
+                })
+                .collect();
+            let ids: Vec<_> = cfgs.iter().map(|cfg| srv.admit(cfg.clone())).collect();
+            let (mut replies, mut served) = (vec![vec![]; ids.len()], vec![]);
+            for k in 0..stream(0).len() {
+                for &id in &ids {
+                    assert!(srv.enqueue(id, &stream(id.index())[k]).is_none());
+                }
+                for (id, r) in srv.pump_round() {
+                    if stream(0)[k].starts_with("(|||") {
+                        served.push(id.index());
+                    }
+                    replies[id.index()].push(r);
+                }
+                // The first round launched the fleet at its widest; no
+                // switch since has cloned an interpreter.
+                let clones: u64 = srv
+                    .tenants
+                    .iter_mut()
+                    .map(|t| match &mut t.session {
+                        Session::Cpu(r) => r.interp_mut().clone_count(),
+                        Session::Gpu(_) => unreachable!("CPU server"),
+                    })
+                    .sum();
+                assert_eq!(clones, *threads.iter().max().unwrap() as u64, "round {k}");
+            }
+            let stats = srv.server_stats();
+            for (t, cfg) in cfgs.iter().enumerate() {
+                assert_matches_isolated(&replies[t], &stream(t), cfg);
+                // Each change of tenant between sections is an eviction.
+                let evicted = served.windows(2).filter(|w| w[0] == t && w[1] != t);
+                assert_eq!(stats.tenants[t].stats.evictions, evicted.count() as u64);
+            }
+            srv.shutdown();
+        }
     }
 
     #[test]
@@ -859,20 +864,12 @@ mod tests {
         }
         let replies = srv.drain();
         assert!(plan.injected_count() >= 1, "plan must have fired");
-        let got: Vec<&Reply> = replies
-            .iter()
+        let got: Vec<Reply> = replies
+            .into_iter()
             .filter(|(id, _)| *id == healthy)
             .map(|(_, r)| r)
             .collect();
-        let mut isolated = Session::tenant(intel_e5_2620(), &tenant_cfg());
-        for (k, cmd) in stream.iter().enumerate() {
-            let want = isolated.submit(cmd).unwrap();
-            assert_eq!(got[k].output, want.output, "{cmd}");
-            assert_eq!(got[k].ok, want.ok, "{cmd}");
-            assert_eq!(got[k].code, want.code, "{cmd}");
-            assert_eq!(got[k].counters, want.counters, "{cmd}");
-        }
-        isolated.shutdown();
+        assert_matches_isolated(&got, &stream.map(String::from), &tenant_cfg());
         srv.shutdown();
     }
 }

@@ -7,6 +7,7 @@
 use crate::cpu_repl::{CpuMode, CpuRepl, CpuReplConfig};
 use crate::error::Result;
 use crate::gpu_repl::{GpuRepl, GpuReplConfig};
+use crate::pool::WorkerPool;
 use crate::reply::Reply;
 use culi_core::fault::FaultPlan;
 use culi_core::InterpConfig;
@@ -29,12 +30,13 @@ pub enum Session {
 /// Containment knobs for a server-managed tenant session, fixed once at
 /// admission ([`Session::tenant`]) instead of threaded through every
 /// call: per-command fuel and live-heap budgets, the worker-pool
-/// watchdog deadline, the worker-thread count a promoted (warm) tenant
-/// gets, and an optional tenant-scoped [`FaultPlan`] (the fault
-/// harness's hostile-tenant hook; [`FaultPlan::none`] in production).
+/// watchdog deadline, the worker-seat count of a promoted (warm) tenant,
+/// and an optional tenant-scoped [`FaultPlan`] (the fault harness's
+/// hostile-tenant hook; [`FaultPlan::none`] in production).
 #[derive(Debug, Clone)]
 pub struct TenantSessionConfig {
-    /// Worker threads when the tenant's pool is warm.
+    /// Seats of the server's shared worker pool (grown on demand) the
+    /// tenant's warm sections chunk over, as its isolated session would.
     pub threads: usize,
     /// Per-command fuel budget (evaluator steps).
     pub fuel_budget: u64,
@@ -161,10 +163,10 @@ impl Session {
 
     /// Boots a server-managed tenant session on `spec` with every
     /// containment knob from `cfg` set at admission: CPU tenants get a
-    /// real-threads session whose pool stays *cold* until the server
-    /// promotes them (commands route through
-    /// [`Session::submit_reference`] until then), GPU tenants get their
-    /// own simulated device. Used by `crate::server::SessionServer`.
+    /// real-threads session that, under the server, forks no pool of its
+    /// own — cold commands route through [`Session::submit_reference`],
+    /// warm ones borrow the server's one worker pool. GPU tenants get
+    /// their own simulated device. Used by `crate::server::SessionServer`.
     pub fn tenant(spec: DeviceSpec, cfg: &TenantSessionConfig) -> Self {
         let interp = InterpConfig {
             fuel_budget: cfg.fuel_budget,
@@ -246,29 +248,18 @@ impl Session {
         }
     }
 
-    /// Drops warm worker forks (CPU pools), returning the retained
-    /// dispatch-buffer bytes freed; the next pooled submit re-warms
-    /// transparently. GPU sessions hold no evictable forks (0).
-    pub fn release_warm_forks(&mut self) -> usize {
+    /// [`Session::submit_batch`] as server tenant `owner`, on the
+    /// server's worker pool `fleet` ([`CpuRepl::submit_batch_on`]); GPU
+    /// sessions leave it alone.
+    pub(crate) fn submit_batch_on(
+        &mut self,
+        fleet: &mut Option<WorkerPool>,
+        owner: usize,
+        inputs: &[&str],
+    ) -> Result<Vec<Reply>> {
         match self {
-            Self::Gpu(r) => r.release_warm_forks(),
-            Self::Cpu(r) => r.release_warm_forks(),
-        }
-    }
-
-    /// Dispatch-buffer bytes retained by warm forks (0 when cold/GPU).
-    pub fn retained_warm_bytes(&self) -> usize {
-        match self {
-            Self::Gpu(_) => 0,
-            Self::Cpu(r) => r.retained_warm_bytes(),
-        }
-    }
-
-    /// `true` while the session holds a warm forked backend.
-    pub fn has_warm_forks(&self) -> bool {
-        match self {
-            Self::Gpu(_) => false,
-            Self::Cpu(r) => r.has_warm_forks(),
+            Self::Gpu(r) => r.submit_batch(inputs),
+            Self::Cpu(r) => r.submit_batch_on(fleet, owner, inputs),
         }
     }
 

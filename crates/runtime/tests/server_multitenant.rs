@@ -1,15 +1,15 @@
 //! Multi-tenant server properties over randomized tenant populations,
-//! command streams and server tuning (quantum, in-flight cap, warm-set
-//! bound, promotion point):
+//! command streams and server tuning (quantum, in-flight cap, promotion
+//! point):
 //!
 //! 1. **Per-tenant FIFO + byte-identity** — each tenant's reply stream
 //!    (output, ok flag, code, counters) is identical to the same commands
 //!    fed through an isolated [`Session::tenant`] submit loop, whatever
-//!    route the server picked (cold reference, warm pool, re-warmed after
-//!    LRU eviction). This subsumes "evicted-then-returning sessions
-//!    resume with identical env state and counters": with `warm_limit: 1`
-//!    and immediate promotion, tenants continually evict each other
-//!    between their own commands.
+//!    route the server picked (cold reference or the shared worker
+//!    fleet). With immediate promotion every tenant borrows the one
+//!    fleet, which switches tenant between their own commands, so a
+//!    tenant returning to the fleet must resume with identical env state
+//!    and counters.
 //! 2. **Fair share** — every tenant with queued work is served at least
 //!    once per round, and never more than the in-flight cap per round.
 //! 3. **In-flight cap** — `max_inflight_seen` never exceeds the
@@ -42,8 +42,8 @@ enum Cmd {
     Set(u8),
     /// `(+ v k)` — cheap pure read.
     Add(u8),
-    /// `(||| 2 + (a b) (4 5))` — stageable parallel section (forks the
-    /// pool on the warm route).
+    /// `(||| 2 + (a b) (4 5))` — stageable parallel section (runs on the
+    /// shared fleet on the warm route).
     Section(u8, u8),
     /// `(list v k)` — allocating read.
     List(u8),
@@ -101,17 +101,15 @@ proptest! {
         quantum in 1usize..5,
         max_inflight in 1usize..4,
         promote_now in proptest::prelude::any::<bool>(),
-        warm_limit in 1usize..3,
     ) {
         let spec = culi_gpu_sim::device::intel_e5_2620();
         let config = ServerConfig {
             quantum,
             max_inflight,
-            // `promote_now` exercises the warm route (and with
-            // warm_limit 1, constant LRU eviction + re-warm); otherwise
-            // every tenant rides the cold reference route.
+            // `promote_now` puts every tenant on the warm route, where
+            // the fleet switches tenant every round; otherwise every
+            // tenant rides the cold reference route.
             promote_after: if promote_now { 0 } else { u64::MAX },
-            warm_limit,
             // Scoring must never trip for healthy streams.
             quarantine_threshold: u32::MAX,
             reject_threshold: u32::MAX,
@@ -153,8 +151,8 @@ proptest! {
         }
 
         // Property 1: per-tenant FIFO byte-identity with an isolated
-        // session, whatever mixture of cold / warm / evicted-and-rewarmed
-        // service the tenant saw.
+        // session, whatever mixture of cold and fleet service the tenant
+        // saw.
         let stats = srv.server_stats();
         for (t, stream) in streams.iter().enumerate() {
             prop_assert_eq!(replies[t].len(), stream.len());
@@ -175,7 +173,6 @@ proptest! {
             prop_assert_eq!(ts.ok, stream.len() as u64);
             prop_assert_eq!(ts.enqueued, stream.len() as u64);
         }
-        prop_assert!(stats.warm_tenants <= warm_limit);
         srv.shutdown();
     }
 }
@@ -225,47 +222,78 @@ fn degraded_successes_decay_failure_score_at_half_rate() {
     srv.shutdown();
 }
 
-/// Regression (LRU recency on re-warm): a tenant evicted and then
-/// transparently re-warmed must become most-recently-used. Before the
-/// fix the LRU stamp was round-granular and ties broke by tenant index,
-/// so the freshly re-warmed tenant was immediately re-evicted (thrash).
+/// Regression (fleet switch): the server's one worker fleet serves each
+/// tenant within its own arena capacity and heap limit. A's global fills
+/// 58% of the default 32,768-node arena, B's 61% of its own 16,384-node
+/// arena, C's half of its 12,000-node heap limit. A replica still holding
+/// the previous tenant's values fails B's and C's small sections; one
+/// sized to A's arena runs B's large section, which fails in isolation.
 #[test]
-fn rewarmed_tenant_becomes_most_recently_used() {
+fn fleet_switch_serves_each_tenant_within_its_own_arena_and_heap() {
     let spec = culi_gpu_sim::device::intel_e5_2620();
+    let cfgs = [
+        TenantSessionConfig::default(),
+        TenantSessionConfig {
+            arena_capacity: 1 << 14,
+            ..Default::default()
+        },
+        TenantSessionConfig {
+            heap_limit: 12_000,
+            ..Default::default()
+        },
+    ];
+    let streams = [1900, 1000, 600].map(|chunk| {
+        let mut stream = vec![
+            "(defun grow (n) (let ((acc nil)) (dotimes (k n) (setq acc (cons k acc))) (car acc)))"
+                .to_string(),
+            "(setq big nil)".to_string(),
+        ];
+        let fill = format!("(dotimes (k {chunk}) (setq big (cons k big)))");
+        stream.extend(std::iter::repeat_n(fill, 10));
+        let sections = ["(||| 2 grow (100 200))", "(||| 2 grow (3000 10))"];
+        stream.extend([sections[0], sections[1], sections[0]].map(String::from));
+        stream
+    });
     let mut srv = SessionServer::new(
         spec,
         ServerConfig {
-            warm_limit: 1,
             promote_after: 0,
             ..Default::default()
         },
     );
-    let a = srv.admit(tenant_cfg());
-    let b = srv.admit(tenant_cfg());
-    let section = "(||| 2 + (1 2) (3 4))";
-    // Round 1: only b runs — b holds the single warm slot.
-    assert!(srv.enqueue(b, section).is_none());
-    srv.drain();
-    let stats = srv.server_stats();
-    assert!(stats.tenants[b.index()].warm);
-    assert!(!stats.tenants[a.index()].warm);
-    // Round 2: b is served first (round-robin cursor), then a re-warms.
-    // Both were served "this round", so a round-granular stamp ties and
-    // index order evicted a — the tenant that was served *last*.
-    assert!(srv.enqueue(a, section).is_none());
-    assert!(srv.enqueue(b, section).is_none());
-    let replies = srv.pump_round();
-    assert_eq!(replies.len(), 2);
-    assert!(replies.iter().all(|(_, r)| r.ok));
-    let stats = srv.server_stats();
-    assert_eq!(stats.warm_tenants, 1);
-    assert!(
-        stats.tenants[a.index()].warm,
-        "most-recently-served tenant must keep its warm slot"
-    );
-    assert!(!stats.tenants[b.index()].warm);
-    assert_eq!(stats.tenants[b.index()].stats.evictions, 1);
+    let ids = cfgs.clone().map(|cfg| srv.admit(cfg));
+    // Round k serves command k of every tenant, so the fleet switches
+    // tenant at every section.
+    let mut replies = vec![vec![]; ids.len()];
+    for k in 0..streams[0].len() {
+        for (id, stream) in ids.iter().zip(&streams) {
+            assert!(srv.enqueue(*id, &stream[k]).is_none());
+        }
+        for (id, r) in srv.pump_round() {
+            replies[id.index()].push(r);
+        }
+    }
     srv.shutdown();
+    for (t, (cfg, stream)) in cfgs.iter().zip(&streams).enumerate() {
+        let mut isolated = Session::tenant(spec, cfg);
+        for (got, cmd) in replies[t].iter().zip(stream) {
+            let want = isolated.submit(cmd).unwrap();
+            assert_eq!(got.output, want.output, "tenant {t} {cmd}");
+            assert_eq!(got.ok, want.ok, "tenant {t} {cmd}");
+            assert_eq!(got.code, want.code, "tenant {t} {cmd}");
+            assert_eq!(got.counters, want.counters, "tenant {t} {cmd}");
+        }
+        isolated.shutdown();
+    }
+    let sections = |t: usize| replies[t][12..].iter().map(|r| r.ok).collect::<Vec<_>>();
+    assert_eq!(sections(0), [true; 3]);
+    assert_eq!(sections(1), [true, false, true]);
+    assert!(
+        replies[1][13].output.contains("16384"),
+        "{}",
+        replies[1][13].output
+    );
+    assert_eq!(sections(2), [true, false, true]);
 }
 
 proptest! {

@@ -545,8 +545,8 @@ fn runaway_under_fuel_budget_is_contained_promptly() {
 }
 
 /// Server arm of the fault sweep (PR 7): three tenants share one
-/// [`culi::runtime::SessionServer`] under warm-set churn (immediate
-/// promotion, one warm slot), with tenant 0 carrying a seeded
+/// [`culi::runtime::SessionServer`] and its one worker fleet (immediate
+/// promotion), with tenant 0 carrying a seeded
 /// tenant-scoped fault plan that substitutes hostile commands (runaway
 /// fuel, oversized payloads, unbounded loops) for its own stream. The
 /// healthy tenants' replies must stay **byte-identical** — output, ok,
@@ -583,11 +583,10 @@ fn fault_sweep_server_healthy_tenants_stay_byte_identical() {
         let mut srv = SessionServer::new(
             intel_e5_2620(),
             ServerConfig {
-                // Immediate promotion + a single warm slot: every tenant
-                // rides the pooled route and they continually evict each
-                // other, so re-warm transparency is under test too.
+                // Immediate promotion: every tenant rides the pooled
+                // route, and the fleet switches between them (and their
+                // fuel budgets) every round.
                 promote_after: 0,
-                warm_limit: 1,
                 ..Default::default()
             },
         );

@@ -3,6 +3,7 @@
 //! every backend. Also pins that loops rebind their variable in place
 //! instead of growing the loop environment per iteration.
 
+use culi::core::ErrorCode;
 use culi::prelude::*;
 use culi::sim::device;
 
@@ -18,15 +19,7 @@ fn build_deep(session: &mut Session, name: &str, depth: usize) {
 
 #[test]
 fn equal_on_deep_values_answers_on_every_backend() {
-    let sessions = [
-        ("modeled cpu", Session::for_device(device::intel_e5_2620())),
-        (
-            "threaded cpu",
-            Session::cpu_threaded(device::intel_e5_2620(), 2),
-        ),
-        ("gpu", Session::for_device(device::gtx1080())),
-    ];
-    for (name, mut session) in sessions {
+    for (name, mut session) in every_backend() {
         // Two independent 100,000-deep lists: `equal` has to walk both
         // all the way down.
         build_deep(&mut session, "x", 100_000);
@@ -40,6 +33,56 @@ fn equal_on_deep_values_answers_on_every_backend() {
             "nil",
             "{name}"
         );
+        session.shutdown();
+    }
+}
+
+/// One session per backend: modeled CPU, threaded CPU and GPU.
+fn every_backend() -> [(&'static str, Session); 3] {
+    [
+        ("modeled cpu", Session::for_device(device::intel_e5_2620())),
+        (
+            "threaded cpu",
+            Session::cpu_threaded(device::intel_e5_2620(), 2),
+        ),
+        ("gpu", Session::for_device(device::gtx1080())),
+    ]
+}
+
+#[test]
+fn printing_a_deep_value_answers_on_every_backend() {
+    for (name, mut session) in every_backend() {
+        // 32,000 levels print as 64,003 bytes: inside the 64 KiB output
+        // buffer, far past what a recursive printer survives on a
+        // default 2 MiB thread stack.
+        build_deep(&mut session, "x", 32_000);
+        let reply = session.submit("x").unwrap();
+        assert!(reply.ok, "{name}: {}", reply.output);
+        assert_eq!(reply.output.len(), 64_003, "{name}");
+        assert!(reply.output.starts_with("((("), "{name}");
+        assert!(reply.output.contains("(nil)"), "{name}");
+        assert_eq!(reply.counters.print.output_bytes, 64_003, "{name}");
+        session.shutdown();
+    }
+}
+
+#[test]
+fn quasiquoting_a_deep_template_is_a_recursion_limit() {
+    for (name, mut session) in every_backend() {
+        build_deep(&mut session, "x", 100_000);
+        let reply = session
+            .submit("(progn (setq y (eval (list 'quasiquote x))) 1)")
+            .unwrap();
+        assert!(!reply.ok, "{name}");
+        assert_eq!(reply.code, ErrorCode::Limit, "{name}");
+        assert!(
+            reply.output.contains("recursion depth limit"),
+            "{name}: {}",
+            reply.output
+        );
+        // The session survives, and a shallow template still expands.
+        let reply = session.submit("`(1 ,(+ 1 1))").unwrap();
+        assert_eq!(reply.output, "(1 2)", "{name}");
         session.shutdown();
     }
 }
