@@ -252,16 +252,19 @@ mod tests {
             max_depth: 8,
             ..Default::default()
         });
-        // The deepest template the parser accepts still expands...
-        let template = format!("{}x{}", "(".repeat(8), ")".repeat(8));
+        // The deepest template the parser accepts (the backquote is one
+        // level) still expands, and so does one at the walk's own limit...
+        let template = format!("{}x{}", "(".repeat(7), ")".repeat(7));
         assert_eq!(
             i.eval_str(&format!("`{template}")).unwrap(),
             template.as_str()
         );
-        // ...while a deeper one built at run time is refused.
         i.eval_str("(setq x nil)").unwrap();
-        i.eval_str("(dotimes (k 9) (setq x (list x)))").unwrap();
-        assert!(i.eval_str("`(((((((((x)))))))))").is_err(), "unparsable");
+        i.eval_str("(dotimes (k 8) (setq x (list x)))").unwrap();
+        assert!(i.eval_str("(eval (list 'quasiquote x))").is_ok());
+        // ...while a deeper one built at run time is refused.
+        i.eval_str("(setq x (list x))").unwrap();
+        assert!(i.eval_str("`((((((((x))))))))").is_err(), "unparsable");
         assert_eq!(
             i.eval_str("(eval (list 'quasiquote x))"),
             Err(CuliError::RecursionLimit { limit: 8 })

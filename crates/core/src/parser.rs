@@ -85,26 +85,35 @@ impl Parser<'_> {
         }
     }
 
-    /// Expands `'x`, `` `x ``, `,x`, `,@x` into `(<name> x)`.
+    /// Expands `'x`, `` `x ``, `,x`, `,@x` into `(<name> x)`. Each one is
+    /// one level against `max_depth`, like the list it expands to, so a
+    /// run of leading quotes cannot recurse past the limit.
     fn reader_macro(&mut self, name: &[u8]) -> Result<NodeId> {
-        let inner_tok = self.next()?.ok_or(CuliError::UnbalancedOpen { depth: 1 })?;
-        let inner = self.parse_node(inner_tok)?;
-        let list = self.interp.alloc(Node::empty_list())?;
-        let sym = self.interp.symbol(name)?;
-        self.interp.arena.list_append(list, sym);
-        self.interp.arena.list_append(list, inner);
-        Ok(list)
+        self.nested(|p| {
+            let inner_tok = p.next()?.ok_or(CuliError::UnbalancedOpen { depth: 1 })?;
+            let inner = p.parse_node(inner_tok)?;
+            let list = p.interp.alloc(Node::empty_list())?;
+            let sym = p.interp.symbol(name)?;
+            p.interp.arena.list_append(list, sym);
+            p.interp.arena.list_append(list, inner);
+            Ok(list)
+        })
     }
 
     /// Parses the remainder of a list whose `(` has been consumed.
     fn parse_list(&mut self) -> Result<NodeId> {
+        self.nested(Self::parse_list_inner)
+    }
+
+    /// Runs `f` one nesting level deeper, refusing past `max_depth`.
+    fn nested(&mut self, f: impl FnOnce(&mut Self) -> Result<NodeId>) -> Result<NodeId> {
         self.depth += 1;
         if self.depth > self.max_depth {
             return Err(CuliError::RecursionLimit {
                 limit: self.max_depth,
             });
         }
-        let result = self.parse_list_inner();
+        let result = f(self);
         self.depth -= 1;
         result
     }
@@ -301,5 +310,18 @@ mod tests {
         let src = format!("{}{}{}", "(".repeat(depth), "1", ")".repeat(depth));
         let forms = parse(&mut i, src.as_bytes()).unwrap();
         assert_eq!(forms.len(), 1);
+    }
+
+    #[test]
+    fn reader_macros_count_against_the_depth_limit() {
+        let mut i = interp();
+        let limit = i.config.max_depth;
+        let at_limit = format!("{}x", "'".repeat(limit));
+        assert_eq!(parse(&mut i, at_limit.as_bytes()).unwrap().len(), 1);
+        for prefix in ["'", "`", ",", ",@"] {
+            let past = format!("{}x", prefix.repeat(limit + 1));
+            let err = parse(&mut i, past.as_bytes()).unwrap_err();
+            assert!(matches!(err, CuliError::RecursionLimit { .. }), "{err:?}");
+        }
     }
 }

@@ -399,119 +399,6 @@ impl FlatTree {
         let bytes = self.text.get(idx)?;
         Ok(interp.strings.intern(bytes))
     }
-
-    /// Splices a pre-encoded tree into the batch, rebasing its text
-    /// references into this batch's heap. The resulting buffer is
-    /// byte-identical to [`FlatTree::push_tree`] of the template's source
-    /// tree (templates keep one text entry per occurrence, exactly like a
-    /// fresh encode), so workers cannot tell a spliced job from an
-    /// encoded one. This is the stamp step of the cache layer's staged-run
-    /// template tier.
-    pub fn push_template(&mut self, t: &TreeTemplate) {
-        self.starts.push(self.words.len() as u32);
-        let base = self.words.len();
-        self.words.extend_from_slice(&t.words);
-        for (i, &pos) in t.text_ref_positions.iter().enumerate() {
-            let idx = self.text.push(&t.texts[i]);
-            self.words[base + pos as usize] = idx;
-        }
-    }
-
-    /// Snapshots the most recently pushed tree as a reusable
-    /// [`TreeTemplate`] — the capture step of the cache's template tier.
-    /// Copying the words [`FlatTree::push_tree`] just wrote is much
-    /// cheaper than [`TreeTemplate::from_tree`]'s second arena walk into
-    /// a scratch buffer, and yields the identical template.
-    pub fn template_of_last(&self) -> TreeTemplate {
-        let start = *self.starts.last().expect("no tree pushed") as usize;
-        let mut t = TreeTemplate {
-            words: self.words[start..].to_vec(),
-            texts: Vec::new(),
-            text_ref_positions: Vec::new(),
-        };
-        let mut pos = 0usize;
-        scan_text_refs(&t.words, &mut pos, &mut t.text_ref_positions);
-        for &p in &t.text_ref_positions {
-            let idx = t.words[p as usize] as usize;
-            t.texts
-                .push(self.text.get(idx).expect("own encode").to_vec());
-        }
-        t
-    }
-}
-
-/// One tree pre-encoded in postbox wire format, detached from any batch:
-/// the words plus the text bytes its `STR`/`SYMBOL` words reference, in
-/// occurrence order. Build once per distinct job shape
-/// ([`TreeTemplate::from_tree`]), splice into dispatch buffers many times
-/// ([`FlatTree::push_template`]) without re-walking the arena.
-#[derive(Debug, Clone, Default)]
-pub struct TreeTemplate {
-    /// The encoded word stream; text-reference operands hold
-    /// occurrence-relative indices until splice time.
-    words: Vec<u32>,
-    /// Referenced text bytes, one entry per occurrence (mirroring
-    /// [`FlatTree::push_tree`], which never dedupes).
-    texts: Vec<Vec<u8>>,
-    /// Word positions (relative to the template start) holding text
-    /// references, in occurrence order.
-    text_ref_positions: Vec<u32>,
-}
-
-impl TreeTemplate {
-    /// Encodes the tree rooted at `root` as a reusable template.
-    /// Unmetered, exactly like the dispatch encode it stands in for.
-    pub fn from_tree(interp: &Interp, root: NodeId) -> Self {
-        let mut scratch = FlatTree::default();
-        scratch.push_tree(interp, root);
-        let mut t = Self {
-            words: scratch.words,
-            texts: Vec::new(),
-            text_ref_positions: Vec::new(),
-        };
-        let mut pos = 0usize;
-        scan_text_refs(&t.words, &mut pos, &mut t.text_ref_positions);
-        for &p in &t.text_ref_positions {
-            let idx = t.words[p as usize] as usize;
-            t.texts
-                .push(scratch.text.get(idx).expect("own encode").to_vec());
-        }
-        t
-    }
-
-    /// Heap bytes this template retains (for cache byte budgets).
-    pub fn retained_bytes(&self) -> usize {
-        self.words.len() * 4
-            + self.text_ref_positions.len() * 4
-            + self.texts.iter().map(|t| t.len() + 24).sum::<usize>()
-    }
-}
-
-/// Walks one encoded tree's word grammar, collecting the positions of
-/// text-reference operands. Preorder needs no stack: it is enough to
-/// count the trees still to be read.
-fn scan_text_refs(words: &[u32], pos: &mut usize, out: &mut Vec<u32>) {
-    let mut trees_left = 1u64;
-    while trees_left > 0 {
-        trees_left -= 1;
-        let tag = words[*pos];
-        *pos += 1;
-        match tag {
-            TAG_NIL | TAG_TRUE => {}
-            TAG_INT | TAG_FLOAT => *pos += 2,
-            TAG_STR | TAG_SYMBOL => {
-                out.push(*pos as u32);
-                *pos += 1;
-            }
-            TAG_FUNCTION => *pos += 1,
-            TAG_LIST | TAG_EXPRESSION => {
-                trees_left += words[*pos] as u64;
-                *pos += 1;
-            }
-            TAG_FORM | TAG_MACRO => trees_left += 2,
-            _ => unreachable!("unknown tag in own postbox encode"),
-        }
-    }
 }
 
 /// An open list or form on the explicit decode stack.
@@ -901,37 +788,6 @@ mod tests {
         assert_eq!(
             print_to_string(&mut replica, plus2).unwrap(),
             "#<builtin +>"
-        );
-    }
-
-    #[test]
-    fn template_splice_is_byte_identical_to_fresh_encode() {
-        let mut master = Interp::default();
-        let forms = crate::parser::parse(
-            &mut master,
-            b"(+ 1 (list 2.5 \"x\" \"x\") 'sym (f sym sym))",
-        )
-        .unwrap();
-        let template = TreeTemplate::from_tree(&master, forms[0]);
-        // A batch with a preceding tree, so the splice lands at a nonzero
-        // word/text offset and rebasing is actually exercised.
-        let mut fresh = FlatTree::default();
-        fresh.push_tree(&master, forms[0]);
-        fresh.push_tree(&master, forms[0]);
-        let mut spliced = FlatTree::default();
-        spliced.push_tree(&master, forms[0]);
-        spliced.push_template(&template);
-        assert_eq!(fresh.words, spliced.words);
-        assert_eq!(fresh.starts, spliced.starts);
-        assert_eq!(fresh.text.spans, spliced.text.spans);
-        assert_eq!(fresh.text.bytes, spliced.text.bytes);
-        // And the spliced copy decodes to the same printed tree.
-        let mut replica = Interp::default();
-        let a = spliced.decode(0, &mut replica).unwrap();
-        let b = spliced.decode(1, &mut replica).unwrap();
-        assert_eq!(
-            print_to_string(&mut replica, a).unwrap(),
-            print_to_string(&mut replica, b).unwrap()
         );
     }
 

@@ -94,7 +94,9 @@ impl StructKey {
     /// over exactly one root), the key of that form alone — recovered by
     /// slicing the count prefix and form separator off the canonical
     /// encoding instead of re-walking the tree. `None` when the key
-    /// holds zero or several forms.
+    /// holds zero or several forms. No runtime path calls it; it is kept
+    /// for the benchmark's shadow replay, which keys its verdict probe on
+    /// it.
     pub fn single_form(&self) -> Option<StructKey> {
         let count = u32::from_le_bytes(self.canon.get(..4)?.try_into().ok()?);
         if count != 1 || *self.canon.last()? != TAG_FORM_SEP {

@@ -1,48 +1,34 @@
-//! The structural-hash command cache: memoization for repeated traffic.
+//! The reply cache: memoization for repeated traffic.
 //!
 //! Production command streams are heavily repetitive — many tenants
-//! submit the same preludes, defuns and query shapes — yet every arrival
-//! used to pay full classification and dispatch-encoding costs again.
-//! [`CommandCache`] memoizes three tiers, keyed on the
-//! [`culi_core::structhash::StructKey`] of the parsed trees (never on
-//! `NodeId`s, which differ on every re-parse):
+//! submit the same preludes and queries — yet every arrival pays full
+//! parse, classification and evaluation costs again. [`CommandCache`]
+//! keeps one tier: whole replies of classified-pure commands, keyed on
+//! (the [`culi_core::structhash::StructKey`] of the parsed trees, the
+//! source text, the **env sync epoch**). Any epoch advance — every
+//! `define`/`set` bumps it — invalidates the entry: lookups require an
+//! exact epoch match and drop entries recorded against an older epoch on
+//! sight, so a stale reply is never served (the proptest suite
+//! interleaves defines between repeats to prove it). Epochs and
+//! environments are tenant-private, so the tier is **strictly
+//! per-tenant**: [`CommandCache::tenant_view`] gives each tenant its own
+//! reply store.
 //!
-//! 1. **Verdict tier** — the effect analysis' staging verdict
-//!    ([`culi_core::effects::stageable_parallel_section`]: stageable or
-//!    barrier) per command shape. The analysis resolves head symbols
-//!    against the live global environment, so the key also carries a
-//!    **classifier fingerprint**: a fold over the env
-//!    sync-epoch log's records (symbol bytes + structural hash of the
-//!    bound value). Two interpreters with the same mutation history —
-//!    e.g. tenants that ran the same prelude — produce the same
-//!    fingerprint, so verdict entries are shared across tenants; any
-//!    redefinition changes the fingerprint and retires the old verdicts.
-//! 2. **Template tier** — pre-encoded [`culi_core::postbox::TreeTemplate`]
-//!    job payloads, spliced into the worker pool's dispatch buffers at
-//!    `stage_run` time instead of re-walking the job trees
-//!    ([`culi_core::postbox::FlatTree::push_template`] is byte-identical
-//!    to a fresh encode). Job trees embed their resolved operands, so
-//!    this tier keys on tree shape alone and is shared across tenants.
-//! 3. **Reply tier** — whole replies for classified-pure commands, keyed
-//!    on (structural hash, source text, **env sync epoch**). Any epoch
-//!    advance — every `define`/`set` bumps it — invalidates the entry:
-//!    lookups require an exact epoch match and drop entries recorded
-//!    against an older epoch on sight, so a stale reply is never served
-//!    (the proptest suite interleaves defines between repeats to prove
-//!    it). Epochs and environments are tenant-private, so this tier is
-//!    **strictly per-tenant**: [`CommandCache::tenant_view`] shares the
-//!    verdict/template stores but gives each tenant its own reply store.
+//! Classification and the dispatch encode are not cached: the pipeline
+//! runs the effect analysis on every command and the worker pool encodes
+//! every job afresh. The cache also holds a **verdict store**
+//! ([`CommandCache::verdict_lookup`]/[`CommandCache::verdict_insert`]),
+//! shared across tenant views. No runtime path calls it; it is kept for
+//! the benchmark's shadow replay, which still times a verdict probe, and
+//! goes once the benchmark stops replaying it.
 //!
 //! # Charge-exactness guarantee
 //!
-//! Meter charges on every served-from-cache path are bit-identical to
-//! the uncached run (the differential harness runs a cache-on arm):
+//! Meter charges on the served-from-cache path are bit-identical to the
+//! uncached run (the differential harness runs a cache-on arm):
 //!
 //! * Key hashing is charge-free by construction
 //!   ([`culi_core::structhash`] reads the arena without metering).
-//! * Verdict hits skip only the classifier walk, which was never metered.
-//! * Template hits skip only the dispatch encode, which is deliberately
-//!   unmetered (transfer is modeled at the simulated-device layer).
 //! * Reply hits require the *source text* to match byte-for-byte (not
 //!   just the structure), so the cached counters — parse included — are
 //!   the counters the uncached run would recompute; the reply is served
@@ -58,11 +44,10 @@
 //!
 //! Each store evicts least-recently-used entries under a byte budget —
 //! the worker pool's `RETAINED_MSG_BYTES` discipline applied to cache
-//! retention. Hit/miss/evict counters per tier surface in
+//! retention. Hit/miss/evict counters surface in
 //! [`crate::server::SessionServer::server_stats`].
 
 use crate::reply::Reply;
-use culi_core::postbox::{FlatTree, TreeTemplate};
 use culi_core::structhash::StructKey;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -95,7 +80,8 @@ type Prehashed = std::hash::BuildHasherDefault<PrehashedKey>;
 /// fleets; the bench scales budgets with stream size.
 #[derive(Debug, Clone)]
 pub struct CacheConfig {
-    /// Byte budget of the shared verdict + template stores.
+    /// Byte budget of the shared verdict store, kept for the benchmark's
+    /// shadow replay (see the module docs).
     pub shared_byte_budget: usize,
     /// Byte budget of each tenant view's private reply store.
     pub reply_byte_budget: usize,
@@ -127,32 +113,26 @@ pub struct TierStats {
     pub evictions: u64,
 }
 
-impl TierStats {
-    fn add(&mut self, other: &TierStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-    }
-}
-
-/// Counters for all three tiers ([`CommandCache::stats`]).
+/// Cache counters ([`CommandCache::stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Classification-verdict tier.
+    /// The verdict store's counters. No runtime path probes it, so they
+    /// move only under the benchmark's shadow replay; kept for it (see
+    /// the module docs).
     pub verdict: TierStats,
-    /// Staged-run template tier.
+    /// Always zero: there is no template tier. Kept because the
+    /// benchmark's shadow replay builds this struct by its field names.
     pub template: TierStats,
     /// Whole-reply tier (aggregated across every tenant view).
     pub reply: TierStats,
 }
 
-/// One stored entry: the full key for the collision check, extra key
-/// dimensions (fingerprint or epoch), the value and LRU bookkeeping.
+/// One stored entry: the full key for the collision check, the extra key
+/// dimension (an epoch), the value and LRU bookkeeping.
 #[derive(Debug)]
 struct Entry<V> {
     key: StructKey,
-    /// Verdict tier: classifier fingerprint. Reply tier: env sync epoch.
-    /// Template tier: unused (0).
+    /// The env sync epoch (the verdict store takes the caller's).
     extra: u64,
     value: V,
     touched: u64,
@@ -315,74 +295,6 @@ pub(crate) struct ReplyTicket {
     pub(crate) epoch: u64,
 }
 
-/// Lazily folds the env sync log into the verdict tier's classifier
-/// fingerprint: a FNV-1a fold over every logged mutation's kind, target
-/// environment, symbol bytes and bound-value structural hash. Two
-/// interpreters with the same post-boot mutation history fold to the
-/// same fingerprint (so verdict entries shared through a
-/// [`CommandCache::tenant_view`] hit across tenants); any divergence —
-/// including the same symbol bound to a different value — changes it.
-#[derive(Debug)]
-pub(crate) struct FingerprintTracker {
-    /// Sync epoch up to which the log has been folded.
-    epoch: u64,
-    /// Running fold over the records below `epoch`.
-    hash: u64,
-    /// Set when a folded record's value tree was already collected (its
-    /// structure is unrecoverable): the fingerprint no longer describes
-    /// the environment, so verdict caching is disabled for this session.
-    poisoned: bool,
-}
-
-impl FingerprintTracker {
-    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
-
-    pub(crate) fn new() -> Self {
-        Self {
-            epoch: 0,
-            hash: Self::SEED,
-            poisoned: false,
-        }
-    }
-
-    fn fold(h: u64, bytes: &[u8]) -> u64 {
-        bytes.iter().fold(h, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
-
-    /// The fingerprint for the interpreter's current environment state,
-    /// folding any sync records logged since the last call. `None` once
-    /// poisoned (callers fall back to uncached classification, which is
-    /// always sound).
-    pub(crate) fn fingerprint(&mut self, interp: &culi_core::Interp) -> Option<u64> {
-        if self.poisoned {
-            return None;
-        }
-        for r in interp.envs.sync_records_since(self.epoch) {
-            if !interp.arena.is_live(r.value) {
-                self.poisoned = true;
-                return None;
-            }
-            let mut h = Self::fold(
-                self.hash,
-                &[match r.kind {
-                    culi_core::env::SyncKind::Define => 0xD0,
-                    culi_core::env::SyncKind::Set => 0x5E,
-                }],
-            );
-            h = Self::fold(h, &(r.env.index() as u32).to_le_bytes());
-            let sym = interp.strings.get(r.sym);
-            h = Self::fold(h, &(sym.len() as u32).to_le_bytes());
-            h = Self::fold(h, sym);
-            h = Self::fold(h, &StructKey::of(interp, r.value).hash.to_le_bytes());
-            self.hash = h;
-        }
-        self.epoch = interp.envs.sync_epoch();
-        Some(self.hash)
-    }
-}
-
 /// A cached reply plus the exact source text it was recorded for (the
 /// charge-exactness condition: same bytes in, same counters out).
 #[derive(Debug)]
@@ -391,21 +303,14 @@ struct ReplyEntry {
     reply: Reply,
 }
 
-/// The verdict/template stores shared by every tenant view.
-#[derive(Debug)]
-struct SharedTiers {
-    verdict: Store<bool>,
-    template: Store<TreeTemplate>,
-}
-
 /// Handle to the command cache. Cloning shares everything; a
-/// [`CommandCache::tenant_view`] shares the verdict/template tiers but
-/// holds its own private reply tier (see the module docs for why). An
+/// [`CommandCache::tenant_view`] shares the verdict store but holds its
+/// own private reply tier (see the module docs for why). An
 /// `Option<CommandCache>` of `None` in a repl config disables caching
 /// entirely — the uncached paths are untouched.
 #[derive(Debug, Clone)]
 pub struct CommandCache {
-    shared: Arc<Mutex<SharedTiers>>,
+    verdict: Arc<Mutex<Store<bool>>>,
     reply: Arc<Mutex<Store<ReplyEntry>>>,
     /// Reply-tier stats aggregated across every tenant view.
     reply_stats: Arc<Mutex<TierStats>>,
@@ -416,10 +321,10 @@ impl CommandCache {
     /// A fresh cache with its own stores.
     pub fn new(config: CacheConfig) -> Self {
         Self {
-            shared: Arc::new(Mutex::new(SharedTiers {
-                verdict: Store::new(config.shared_byte_budget / 2, config.hash_mask),
-                template: Store::new(config.shared_byte_budget / 2, config.hash_mask),
-            })),
+            verdict: Arc::new(Mutex::new(Store::new(
+                config.shared_byte_budget,
+                config.hash_mask,
+            ))),
             reply: Arc::new(Mutex::new(Store::new(
                 config.reply_byte_budget,
                 config.hash_mask,
@@ -429,11 +334,11 @@ impl CommandCache {
         }
     }
 
-    /// A tenant's view: verdict/template tiers shared with `self`, reply
+    /// A tenant's view: the verdict store shared with `self`, the reply
     /// tier private (tenant epochs and environments are not comparable).
     pub fn tenant_view(&self) -> Self {
         Self {
-            shared: Arc::clone(&self.shared),
+            verdict: Arc::clone(&self.verdict),
             reply: Arc::new(Mutex::new(Store::new(
                 self.config.reply_byte_budget,
                 self.config.hash_mask,
@@ -443,67 +348,23 @@ impl CommandCache {
         }
     }
 
-    /// Cached classification verdict for `(key, fingerprint)`.
-    pub fn verdict_lookup(&self, key: &StructKey, fingerprint: u64) -> Option<bool> {
-        let mut shared = self.shared.lock().expect("cache lock");
-        match shared.verdict.lookup(key, fingerprint).copied() {
-            Some(v) => {
-                shared.verdict.stats.hits += 1;
-                Some(v)
-            }
-            None => {
-                shared.verdict.stats.misses += 1;
-                None
-            }
+    /// Cached classification verdict for `(key, epoch)`. Kept for the
+    /// benchmark's shadow replay; no runtime path calls it.
+    pub fn verdict_lookup(&self, key: &StructKey, epoch: u64) -> Option<bool> {
+        let mut store = self.verdict.lock().expect("cache lock");
+        let hit = store.lookup(key, epoch).copied();
+        match hit {
+            Some(_) => store.stats.hits += 1,
+            None => store.stats.misses += 1,
         }
+        hit
     }
 
-    /// Records a classification verdict.
-    pub fn verdict_insert(&self, key: StructKey, fingerprint: u64, stageable: bool) {
-        let mut shared = self.shared.lock().expect("cache lock");
-        shared.verdict.insert(key, fingerprint, stageable, 1);
-    }
-
-    /// Cached pre-encoded job template for `key` (cloned out; splicing
-    /// happens under no lock).
-    pub fn template_lookup(&self, key: &StructKey) -> Option<TreeTemplate> {
-        let mut shared = self.shared.lock().expect("cache lock");
-        match shared.template.lookup(key, 0).cloned() {
-            Some(t) => {
-                shared.template.stats.hits += 1;
-                Some(t)
-            }
-            None => {
-                shared.template.stats.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Splices the cached job template for `key` directly into `into`
-    /// under the store lock — the hot-path variant of
-    /// [`CommandCache::template_lookup`], sparing the clone-out of the
-    /// template's buffers. Returns `true` on hit.
-    pub fn template_splice(&self, key: &StructKey, into: &mut FlatTree) -> bool {
-        let mut shared = self.shared.lock().expect("cache lock");
-        match shared.template.lookup(key, 0) {
-            Some(t) => {
-                into.push_template(t);
-                shared.template.stats.hits += 1;
-                true
-            }
-            None => {
-                shared.template.stats.misses += 1;
-                false
-            }
-        }
-    }
-
-    /// Records a job template.
-    pub fn template_insert(&self, key: StructKey, template: TreeTemplate) {
-        let bytes = template.retained_bytes();
-        let mut shared = self.shared.lock().expect("cache lock");
-        shared.template.insert(key, 0, template, bytes);
+    /// Records a classification verdict. Kept for the benchmark's shadow
+    /// replay; no runtime path calls it.
+    pub fn verdict_insert(&self, key: StructKey, epoch: u64, stageable: bool) {
+        let mut store = self.verdict.lock().expect("cache lock");
+        store.insert(key, epoch, stageable, 1);
     }
 
     /// Cached whole reply for `(key, text, epoch)`. Entries recorded
@@ -553,25 +414,21 @@ impl CommandCache {
         self.reply_stats.lock().expect("cache lock").evictions += stale_evictions;
     }
 
-    /// Point-in-time counters for all tiers. Verdict/template counters
-    /// are the shared stores'; reply counters aggregate every view.
+    /// Point-in-time counters. Verdict counters are the shared store's;
+    /// reply counters aggregate every view.
     pub fn stats(&self) -> CacheStats {
-        let shared = self.shared.lock().expect("cache lock");
-        let mut reply = *self.reply_stats.lock().expect("cache lock");
-        reply.add(&TierStats::default());
         CacheStats {
-            verdict: shared.verdict.stats,
-            template: shared.template.stats,
-            reply,
+            verdict: self.verdict.lock().expect("cache lock").stats,
+            template: TierStats::default(),
+            reply: *self.reply_stats.lock().expect("cache lock"),
         }
     }
 
-    /// Bytes retained right now: shared stores plus this view's reply
-    /// store (other views' reply stores are theirs to report).
+    /// Bytes retained right now: the shared verdict store plus this
+    /// view's reply store (other views' reply stores are theirs to
+    /// report).
     pub fn retained_bytes(&self) -> usize {
-        let shared = self.shared.lock().expect("cache lock");
-        shared.verdict.retained_bytes()
-            + shared.template.retained_bytes()
+        self.verdict.lock().expect("cache lock").retained_bytes()
             + self.reply.lock().expect("cache lock").retained_bytes()
     }
 
@@ -650,15 +507,15 @@ mod tests {
     }
 
     #[test]
-    fn verdict_tier_is_fingerprint_scoped_and_shared_across_views() {
+    fn verdict_store_is_epoch_scoped_and_shared_across_views() {
         let cache = CommandCache::new(CacheConfig::default());
         let view_a = cache.tenant_view();
         let view_b = cache.tenant_view();
         let key = key_of("(||| 2 + (1 2) (3 4))");
         view_a.verdict_insert(key.clone(), 42, true);
-        // Same fingerprint (same prelude history): shared across tenants.
+        // Same extra key: shared across tenant views.
         assert_eq!(view_b.verdict_lookup(&key, 42), Some(true));
-        // Different fingerprint (diverged env): not shared.
+        // Different extra key: not shared.
         assert_eq!(view_b.verdict_lookup(&key, 43), None);
         // Reply tier is NOT shared between views.
         view_a.reply_insert(key.clone(), "x", 1, reply("r"));

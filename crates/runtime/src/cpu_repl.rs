@@ -71,9 +71,9 @@ pub struct CpuReplConfig {
     /// Deterministic fault script handed to the worker pool (empty in
     /// production; the differential fault harness scripts it).
     pub fault_plan: FaultPlan,
-    /// Structural-hash command cache ([`crate::cache`]): `None` (the
-    /// default) leaves every path uncached; `Some` enables the verdict,
-    /// template and reply tiers for [`CpuRepl::submit_batch`] streams.
+    /// Reply cache ([`crate::cache`]): `None` (the default) leaves every
+    /// path uncached; `Some` enables the per-session reply tier for
+    /// [`CpuRepl::submit_batch`] streams.
     /// Replies served from cache are bit-identical to the uncached run
     /// (the differential harness runs a cache-on arm).
     pub cache: Option<crate::CommandCache>,
@@ -394,8 +394,7 @@ impl<'i> ExecQueue<'i> for CpuRepl {
         let interp = &mut self.pipe.interp;
         let sections: Vec<&[NodeId]> = run.iter().map(|s| s.jobs.as_slice()).collect();
         let global = interp.global;
-        hook.pool_mut(interp)
-            .stage_run_cached(interp, &sections, global, self.pipe.cache.as_ref());
+        hook.pool_mut(interp).stage_run(interp, &sections, global);
         let mut cmds = Vec::with_capacity(run.len());
         for CpuStaged { cmd, jobs } in run {
             interp.put_node_buf(jobs);

@@ -69,9 +69,9 @@ pub struct GpuReplConfig {
     /// dropped reply — the only failure the command-buffer protocol
     /// models — exercising the retry-then-degrade path. Empty by default.
     pub fault_plan: FaultPlan,
-    /// Structural-hash command cache ([`crate::cache`]): `None` (the
-    /// default) leaves every path uncached; `Some` enables the verdict
-    /// and reply tiers for [`GpuRepl::submit_batch`] streams. Replies
+    /// Reply cache ([`crate::cache`]): `None` (the default) leaves every
+    /// path uncached; `Some` enables the per-session reply tier for
+    /// [`GpuRepl::submit_batch`] streams. Replies
     /// served from cache are bit-identical to the uncached run.
     pub cache: Option<crate::CommandCache>,
 }

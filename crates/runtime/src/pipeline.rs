@@ -18,8 +18,9 @@
 //! The GPU adds only the command-buffer handshake around the pipeline.
 //!
 //! Batched streams enter through [`Pipeline::classify`]: one metered
-//! parse, the reply-cache probe, the verdict lookup and the reply-tier
-//! store ticket, shared by both [`crate::scheduler::ExecQueue`] impls.
+//! parse, the reply-cache probe, the effect analysis' staging verdict and
+//! the reply-tier store ticket, shared by both
+//! [`crate::scheduler::ExecQueue`] impls.
 //! The parsed forms stay GC-rooted until the command runs, and the parse
 //! cycles are charged to whichever clock eventually runs it, so a command
 //! costs the same whether it arrived through `submit` or `submit_batch`.
@@ -28,7 +29,7 @@
 //! counters of every phase that ran, including `print` when printing is
 //! what failed, and the wall-clock time from parse start to reply.
 
-use crate::cache::{CommandCache, FingerprintTracker, ReplyTicket};
+use crate::cache::{CommandCache, ReplyTicket};
 use crate::error::{Result, RuntimeError};
 use crate::phases::{breakdown, counters_to_cycles, CommandCounters};
 use crate::pool::ThreadedHook;
@@ -315,8 +316,6 @@ pub(crate) struct Pipeline {
     /// Reply slots written off by an infrastructure failure, awaiting
     /// the scheduler's sequential fallback.
     pub(crate) degraded_slots: Vec<usize>,
-    /// Verdict-tier key dimension (see [`crate::cache`]).
-    fingerprint: FingerprintTracker,
     /// Reply-tier store tickets of classified-pure cache misses, keyed by
     /// batch slot, consumed when the slot's `Ok` reply is produced.
     pending_store: HashMap<usize, ReplyTicket>,
@@ -340,7 +339,6 @@ impl Pipeline {
             barrier_roots: Vec::new(),
             gc_scratch: Vec::new(),
             degraded_slots: Vec::new(),
-            fingerprint: FingerprintTracker::new(),
             pending_store: HashMap::new(),
         }
     }
@@ -400,7 +398,8 @@ impl Pipeline {
             probe = Some((key, epoch));
         }
         let global = self.interp.global;
-        let stageable = forms.len() == 1 && self.stageable(probe.as_ref().map(|p| &p.0), forms[0]);
+        let stageable = forms.len() == 1
+            && culi_core::effects::stageable_parallel_section(&self.interp, global, forms[0]);
         // A miss on a pure command earns a store ticket, consumed if the
         // slot produces an `Ok` reply: the reply then depends only on the
         // tree and the epoch-stamped environment.
@@ -422,34 +421,6 @@ impl Pipeline {
             self.barrier_roots.extend_from_slice(forms);
             Verdict::Barrier(cmd)
         }
-    }
-
-    /// The effect analysis' staging verdict for `form`, served from the
-    /// cache's verdict tier when possible. Verdicts read the live global
-    /// environment, so they are scoped by the [`FingerprintTracker`]; a
-    /// poisoned tracker classifies directly (the tier only skips a
-    /// charge-free walk).
-    fn stageable(&mut self, command_key: Option<&StructKey>, form: NodeId) -> bool {
-        let interp = &self.interp;
-        let classify =
-            || culi_core::effects::stageable_parallel_section(interp, interp.global, form);
-        let (Some(cache), Some(command_key)) = (&self.cache, command_key) else {
-            return classify();
-        };
-        let Some(fp) = self.fingerprint.fingerprint(interp) else {
-            return classify();
-        };
-        // Slice the single-form key out of the command key instead of
-        // re-walking the tree.
-        let key = command_key
-            .single_form()
-            .unwrap_or_else(|| StructKey::of(interp, form));
-        if let Some(v) = cache.verdict_lookup(&key, fp) {
-            return v;
-        }
-        let v = classify();
-        cache.verdict_insert(key, fp, v);
-        v
     }
 
     /// Consumes `slot`'s store ticket if its command produced the `Ok`

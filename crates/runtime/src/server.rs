@@ -131,11 +131,10 @@ pub struct ServerConfig {
     pub quarantine_threshold: u32,
     /// Failure score at which commands are refused outright (terminal).
     pub reject_threshold: u32,
-    /// Structural-hash command cache shared across the fleet
-    /// ([`crate::cache`]): verdict/template tiers are shared between
-    /// tenants, each tenant gets a private reply tier
-    /// ([`CommandCache::tenant_view`]). `None` disables caching. On by
-    /// default — cache-served replies are bit-identical to uncached ones.
+    /// Reply cache for the fleet ([`crate::cache`]): each tenant gets a
+    /// private reply tier ([`CommandCache::tenant_view`]). `None`
+    /// disables caching. On by default — cache-served replies are
+    /// bit-identical to uncached ones.
     pub cache: Option<CacheConfig>,
 }
 
@@ -203,8 +202,9 @@ pub struct ServerStats {
     /// Commands queued across all tenants right now.
     pub queued: usize,
     /// Command-cache hit/miss/evict counters (all zero when the cache is
-    /// disabled). Verdict/template counters are fleet-wide; reply
-    /// counters aggregate every tenant's private tier.
+    /// disabled). Reply counters aggregate every tenant's private tier;
+    /// the verdict and template counters stay zero (no runtime path
+    /// probes either).
     pub cache: CacheStats,
     /// Per-tenant rows, indexed by [`TenantId::index`].
     pub tenants: Vec<TenantSnapshot>,
@@ -266,8 +266,8 @@ impl SessionServer {
     /// Admits a tenant: boots its isolated session with every containment
     /// knob from `cfg` fixed now ([`Session::tenant`]). When the server
     /// runs a command cache, the tenant receives its own
-    /// [`CommandCache::tenant_view`] (shared verdict/template tiers,
-    /// private reply tier) unless `cfg` already pinned one.
+    /// [`CommandCache::tenant_view`] (a private reply tier) unless `cfg`
+    /// already pinned one.
     pub fn admit(&mut self, mut cfg: TenantSessionConfig) -> TenantId {
         if cfg.cache.is_none() {
             cfg.cache = self.cache.as_ref().map(CommandCache::tenant_view);

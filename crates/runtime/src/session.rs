@@ -50,10 +50,10 @@ pub struct TenantSessionConfig {
     /// Tenant-scoped fault script; shared with the server so it can poll
     /// [`culi_core::fault::FaultSite::TenantCommand`] for this tenant.
     pub fault_plan: FaultPlan,
-    /// This tenant's view of the server's structural-hash command cache
-    /// ([`crate::cache::CommandCache::tenant_view`]): verdict/template
-    /// tiers shared across tenants, reply tier private. `None` (the
-    /// default) disables caching for the session.
+    /// This tenant's view of the server's reply cache
+    /// ([`crate::cache::CommandCache::tenant_view`]): a reply tier
+    /// private to the tenant. `None` (the default) disables caching for
+    /// the session.
     pub cache: Option<crate::cache::CommandCache>,
 }
 

@@ -1,8 +1,8 @@
-//! End-to-end correctness of the PR 8 structural-hash command cache:
-//! cache-on sessions must be observably indistinguishable from cache-off
-//! sessions — byte-identical output, status, code and paper-model
-//! counters — across the CPU threaded and simulated-GPU backends, while
-//! the cache's own stats prove it actually served traffic. Directed tests pin the two hazardous edges: reply
+//! End-to-end correctness of the reply cache: cache-on sessions must be
+//! observably indistinguishable from cache-off sessions — byte-identical
+//! output, status, code and paper-model counters — across the CPU
+//! threaded and simulated-GPU backends, while the cache's own stats prove
+//! it actually served traffic. Directed tests pin the two hazardous edges: reply
 //! entries must never survive an env sync-epoch advance (a redefined
 //! global must never be answered with a stale reply), and forced hash
 //! collisions (narrowed [`CacheConfig::hash_mask`]) must fall back to
@@ -11,7 +11,8 @@
 use culi_core::InterpConfig;
 use culi_gpu_sim::device::{gtx1080, intel_e5_2620};
 use culi_runtime::{
-    CacheConfig, CommandCache, CpuMode, CpuRepl, CpuReplConfig, GpuRepl, GpuReplConfig, Reply,
+    CacheConfig, CacheStats, CommandCache, CpuMode, CpuRepl, CpuReplConfig, GpuRepl, GpuReplConfig,
+    Reply, TierStats,
 };
 
 const PRELUDE: &[&str] = &[
@@ -104,6 +105,23 @@ fn assert_identical(uncached: &[Reply], cached: &[Reply], arm: &str) {
     }
 }
 
+/// The reply tier is the only one the runtime probes: three passes over
+/// [`STREAM`] miss its 7 distinct commands once and hit the other 14.
+/// The verdict and template counters never move.
+fn assert_reply_tier_only(stats: CacheStats) {
+    assert_eq!(
+        stats.reply,
+        TierStats {
+            hits: 14,
+            misses: 7,
+            evictions: 0
+        },
+        "{stats:?}"
+    );
+    assert_eq!(stats.verdict, TierStats::default(), "{stats:?}");
+    assert_eq!(stats.template, TierStats::default(), "{stats:?}");
+}
+
 #[test]
 fn cache_on_off_bit_identity_cpu_threaded() {
     let cache = CommandCache::new(CacheConfig::default());
@@ -112,15 +130,7 @@ fn cache_on_off_bit_identity_cpu_threaded() {
     let a = run_cpu(&mut plain, STREAM, 3);
     let b = run_cpu(&mut memo, STREAM, 3);
     assert_identical(&a, &b, "cpu threaded");
-    let stats = cache.stats();
-    assert!(
-        stats.reply.hits >= STREAM.len() as u64,
-        "cache never served: {stats:?}"
-    );
-    assert!(
-        stats.template.hits >= 1,
-        "templates never reused: {stats:?}"
-    );
+    assert_reply_tier_only(cache.stats());
 }
 
 #[test]
@@ -131,11 +141,7 @@ fn cache_on_off_bit_identity_gpu() {
     let a = run_gpu(&mut plain, STREAM, 3);
     let b = run_gpu(&mut memo, STREAM, 3);
     assert_identical(&a, &b, "gpu");
-    assert!(
-        cache.stats().reply.hits >= STREAM.len() as u64,
-        "{:?}",
-        cache.stats()
-    );
+    assert_reply_tier_only(cache.stats());
 }
 
 /// The stale-reply hazard, end to end: a pure command whose answer
@@ -177,9 +183,9 @@ fn reply_entries_never_survive_epoch_advance_end_to_end() {
 
 /// Forced collisions end to end: with `hash_mask: 0` every command's key
 /// lands in one bucket, so *only* the canonical-encoding compare keeps
-/// distinct commands from stealing each other's verdicts, templates and
-/// replies. The session must still be bit-identical to the uncached twin
-/// while genuinely serving hits from the colliding store.
+/// distinct commands from stealing each other's replies. The session
+/// must still be bit-identical to the uncached twin while genuinely
+/// serving hits from the colliding store.
 #[test]
 fn forced_hash_collision_end_to_end_stays_bit_identical() {
     let cache = CommandCache::new(CacheConfig {
@@ -246,8 +252,5 @@ fn cache_memory_stays_bounded_under_flood() {
         cache.retained_bytes()
     );
     let stats = cache.stats();
-    assert!(
-        stats.reply.evictions + stats.template.evictions >= 1,
-        "flood never evicted: {stats:?}"
-    );
+    assert!(stats.reply.evictions >= 1, "flood never evicted: {stats:?}");
 }

@@ -192,10 +192,9 @@ fn gpu_repl(devices: usize) -> GpuRepl {
     )
 }
 
-/// A pipelined CPU arm with the PR 8 structural-hash command cache
-/// enabled. The cache handle is passed in so arms can share verdict and
-/// template tiers through [`CommandCache::tenant_view`], the way the
-/// session server shares them across tenants.
+/// A pipelined CPU arm with the reply cache enabled. The cache handle is
+/// passed in so each arm can take its own [`CommandCache::tenant_view`],
+/// the way the session server gives every tenant a private reply tier.
 fn repl_cached(cache: CommandCache) -> CpuRepl {
     CpuRepl::launch(
         intel_e5_2620(),
@@ -235,9 +234,8 @@ fn check_program(seed: u64) {
     let mut pooled = repl(CpuMode::Threaded { threads: 4 });
     let mut pipelined = repl(CpuMode::Threaded { threads: 4 });
     let mut gpus: Vec<GpuRepl> = [1, 2, 4].map(gpu_repl).into_iter().collect();
-    // Cache arms (PR 8): one shared cache, tenant views per backend — the
-    // CPU and GPU arms share verdict/template tiers but keep private
-    // reply tiers, exactly like server tenants.
+    // Cache arms: one cache, a tenant view per backend — the CPU and GPU
+    // arms keep private reply tiers, exactly like server tenants.
     let shared_cache = CommandCache::new(CacheConfig::default());
     let mut cached = repl_cached(shared_cache.tenant_view());
     let mut cached_gpu = gpu_repl_cached(shared_cache.tenant_view());

@@ -1,11 +1,14 @@
 //! Hostile values must not abort the process: structural walks over
 //! runtime values run on explicit stacks, so a deep value is just data on
-//! every backend. Also pins that loops rebind their variable in place
-//! instead of growing the loop environment per iteration.
+//! every backend, and deep input is refused at the parser's depth limit.
+//! Also pins that loops rebind their variable in place instead of growing
+//! the loop environment per iteration.
 
 use culi::core::ErrorCode;
 use culi::prelude::*;
+use culi::runtime::{CacheConfig, CommandCache};
 use culi::sim::device;
+use proptest::prelude::*;
 
 /// Binds `name` to a `depth`-deep singleton nesting `((((nil))))`.
 fn build_deep(session: &mut Session, name: &str, depth: usize) {
@@ -132,4 +135,126 @@ fn loop_lookups_cost_linear_env_probes() {
         p2 as f64 <= 2.1 * p1 as f64,
         "doubling the iterations must at most double the env probes: {p1} -> {p2}"
     );
+}
+
+#[test]
+fn deep_reader_macros_are_a_recursion_limit() {
+    // 60,000 leading quotes: 60 KB of input, inside the GPU's 64 KiB
+    // command buffer. Each quote is one parse level, so the parser stops
+    // at its depth limit instead of recursing once per quote.
+    let input = format!("{}x", "'".repeat(60_000));
+    for (name, mut session) in every_backend() {
+        let reply = session.submit(&input).unwrap();
+        assert!(!reply.ok, "{name}");
+        assert_eq!(reply.code, ErrorCode::Limit, "{name}");
+        assert!(
+            reply.output.contains("recursion depth limit"),
+            "{name}: {}",
+            reply.output
+        );
+        // The session survives, and a shallow quote still reads.
+        assert_eq!(session.submit("(+ 1 2)").unwrap().output, "3", "{name}");
+        assert_eq!(session.submit("''x").unwrap().output, "(quote x)", "{name}");
+        session.shutdown();
+    }
+}
+
+/// One nesting level of a generated hostile value.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    /// `(x)`
+    List,
+    /// `(quote x)`: a quote-wrapped value.
+    Quote,
+    /// `(x i)`: the deep value in the head of a pair. CuLi lists are
+    /// proper, so this is the closest a value gets to a dotted pair.
+    Pair,
+}
+
+impl Step {
+    fn wrap(self, name: &str) -> String {
+        match self {
+            Step::List => format!("(setq {name} (list {name}))"),
+            Step::Quote => format!("(setq {name} (list 'quote {name}))"),
+            Step::Pair => format!("(setq {name} (cons {name} (list i)))"),
+        }
+    }
+}
+
+/// A `dotimes` program binding `name` to `rounds` repetitions of the
+/// `shape` steps around `nil`.
+fn deep_program(name: &str, shape: &[Step], rounds: usize) -> String {
+    let body: Vec<String> = shape.iter().map(|s| s.wrap(name)).collect();
+    format!(
+        "(progn (setq {name} nil) (dotimes (i {rounds}) {}) 1)",
+        body.join(" ")
+    )
+}
+
+/// A reply that answered: a value, or an error with a structured code.
+fn answered(reply: &Reply) -> bool {
+    reply.ok == (reply.code == ErrorCode::Ok)
+}
+
+fn shape() -> impl Strategy<Value = (Vec<Step>, usize)> {
+    let step = prop_oneof![Just(Step::List), Just(Step::Quote), Just(Step::Pair)];
+    (prop::collection::vec(step, 1..4), 1usize..20_001).prop_map(|(shape, depth)| {
+        let rounds = (depth / shape.len()).max(1);
+        (shape, rounds)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Any nesting shape up to 20,000 levels survives print, `equal`, a
+    /// `|||` encode/decode round trip through the worker pool, a dotted
+    /// `cons` and a cache-on batch: each answers with a value or a
+    /// structured error, and none aborts the process.
+    #[test]
+    fn hostile_values_answer_every_operation(case in shape()) {
+        let (shape, rounds) = case;
+        let mut session = Session::Cpu(CpuRepl::launch(
+            device::intel_e5_2620(),
+            CpuReplConfig {
+                mode: CpuMode::Threaded { threads: 2 },
+                cache: Some(CommandCache::new(CacheConfig::default())),
+                ..Default::default()
+            },
+        ));
+        for name in ["x", "y"] {
+            let reply = session.submit(&deep_program(name, &shape, rounds)).unwrap();
+            prop_assert!(reply.ok, "{}", reply.output);
+        }
+        prop_assert!(session.submit("(defun id-x (k) x)").unwrap().ok);
+
+        let printed = session.submit("x").unwrap();
+        prop_assert!(answered(&printed), "{:?}", printed.output);
+        let printed_y = session.submit("y").unwrap();
+        prop_assert_eq!(&printed_y.output, &printed.output);
+
+        let equal = session.submit("(equal x y)").unwrap();
+        prop_assert_eq!(equal.output.as_str(), "T");
+        let unequal = session.submit("(equal x (list x))").unwrap();
+        prop_assert_eq!(unequal.output.as_str(), "nil");
+
+        let roundtrip = session.submit("(equal x (car (||| 2 id-x (1 2))))").unwrap();
+        prop_assert_eq!(roundtrip.output.as_str(), "T");
+
+        let dotted = session.submit("(cons x 1)").unwrap();
+        prop_assert!(!dotted.ok && answered(&dotted), "{:?}", dotted.output);
+
+        let batch = session
+            .submit_batch(&["x", "(equal x y)", "x", "(||| 2 id-x (1 2))"])
+            .unwrap();
+        for reply in &batch {
+            prop_assert!(answered(reply), "{:?}", reply.output);
+        }
+        prop_assert_eq!(&batch[0].output, &printed.output);
+        prop_assert_eq!(&batch[2].output, &printed.output);
+        prop_assert_eq!(batch[1].output.as_str(), "T");
+        // The session still answers.
+        prop_assert_eq!(session.submit("(+ 1 2)").unwrap().output.as_str(), "3");
+        session.shutdown();
+    }
 }
