@@ -157,9 +157,9 @@ impl NodeArena {
         self.high_water
     }
 
-    /// One past the highest slot index ever allocated — the sweep bound
-    /// (every live node id is below it; slots beyond it are untouched
-    /// seed-state free slots).
+    /// One past the highest slot index allocated since the last sweep
+    /// left it free — the sweep bound (every live node id is below it;
+    /// slots beyond it are free and linked in seed order).
     pub fn high_slot(&self) -> usize {
         self.high_slot
     }
@@ -230,6 +230,8 @@ impl NodeArena {
         } else {
             FREE_NONE
         };
+        // One past the highest slot still occupied after this sweep.
+        let mut top = 0;
         for idx in (0..self.high_slot).rev() {
             let is_marked = marked[idx >> 6] & (1u64 << (idx & 63)) != 0;
             match &mut self.slots[idx] {
@@ -238,13 +240,18 @@ impl NodeArena {
                     head = idx as u32;
                     freed += 1;
                 }
-                Slot::Occupied(_) => {}
+                Slot::Occupied(_) => top = top.max(idx + 1),
                 Slot::Free { next_free } => {
                     *next_free = head;
                     head = idx as u32;
                 }
             }
         }
+        // Every free slot at or above `top` now links to its successor,
+        // exactly like the untouched tail: lowering the bound keeps the
+        // next sweep proportional to what is live, not to a transient
+        // peak.
+        self.high_slot = top;
         self.free_head = head;
         self.live -= freed;
         freed

@@ -9,7 +9,9 @@
 //! question: [`expr_is_pure`] classifies an expression as **pure** when
 //! its evaluation provably has no effect beyond allocating nodes and
 //! producing a value, and [`stageable_parallel_section`] applies the rule
-//! to a whole top-level `(||| …)` command.
+//! to a whole top-level `(||| …)` command. [`exprs_are_isolated`] widens
+//! it to user forms (the closure rule below), for sessions deciding
+//! whether a section's jobs may run on the master.
 //!
 //! # Classification rules
 //!
@@ -39,8 +41,8 @@
 //!     (`setq`, `defun`, `let`, …), performs **host I/O** (`read-file`,
 //!     …), evaluates arbitrary structure (`eval`, a quasiquote template
 //!     with unquote holes), invokes user code (`mapcar`, `apply`,
-//!     `funcall`, any user form or macro) or opens a nested parallel
-//!     section (`|||`): **impure**.
+//!     `funcall`, any macro, any user form outside the closure rule
+//!     below) or opens a nested parallel section (`|||`): **impure**.
 //!   * head symbol resolving to a plain value, or unbound, or a non-symbol
 //!     atom head: the list evaluates element-wise — pure iff every element
 //!     is pure.
@@ -70,7 +72,35 @@
 //! Errors are *not* effects: a pure expression may still fail (division by
 //! zero, type errors, recursion limits). Staging such an expression early
 //! produces the identical error at the identical meter charge, which is
-//! all the dispatchers need.
+//! all the dispatchers need. An expression nested deeper than the walk
+//! bound is refused rather than walked on the native stack.
+//!
+//! # Isolation: the closure rule
+//!
+//! A worker seat isolates a `|||` job's `setq`; the master would not. A
+//! section may therefore run its jobs on the master only when
+//! [`exprs_are_isolated`] proves them free of effects. That check is
+//! [`expr_is_pure`] plus user forms, admitted under the **closure rule**:
+//!
+//! 1. **Collect the closure first.** Starting from the job expressions,
+//!    follow every head position — head symbols through the environment,
+//!    function values that sit in head position themselves — into the
+//!    bodies of the user forms they reach, and on through those bodies.
+//!    A visited set ends recursion and mutual recursion. A macro in any
+//!    head position, or a walk past a fixed node budget, refuses.
+//! 2. **Then check every body with every binder shadowed.** CuLi is
+//!    dynamically scoped: at runtime a callee's head symbol can resolve
+//!    to a *caller's* parameter (`(defun a (plus) (b 1))` with `b`
+//!    calling `(plus …)`). So each body is checked with all parameter
+//!    names, lambda parameters and loop variables of the whole closure
+//!    shadowed. A per-form memo would not be sound: the same body is safe
+//!    under one caller and not under another. The job expressions
+//!    themselves evaluate outside every such binder.
+//!
+//! A job's arguments are values that the job evaluates again (a form
+//! evaluates its arguments; a builtin evaluates its operands), so they
+//! are checked as expressions too. Literal lambdas and computed callables
+//! stay refused in callable position, exactly as for [`expr_is_pure`].
 //!
 //! # Charge-exactness contract
 //!
@@ -143,8 +173,173 @@ pub fn builtin_effect(name: &str) -> BuiltinEffect {
 /// persistent interpreter state (no defines, no mutation, no host I/O, no
 /// user code, no nested `|||`). Charges nothing to the session meter.
 pub fn expr_is_pure(interp: &Interp, env: EnvId, expr: NodeId) -> bool {
-    let mut shadowed = Vec::new();
-    pure_rec(interp, env, expr, &mut shadowed)
+    pure_rec(interp, env, expr, &mut Scope::default())
+}
+
+/// `true` when evaluating each of `exprs` in a fresh child environment of
+/// `env` provably cannot mutate persistent state, perform host I/O or
+/// open a nested `|||` — [`expr_is_pure`] widened to admit applications
+/// of user forms under the closure rule (see the module docs). The
+/// expressions may be built values rather than parsed code: a function
+/// or form value in head position is applied as itself, exactly as the
+/// evaluator applies it.
+///
+/// This is the test a session uses before running a `|||` section's
+/// jobs on the master instead of on isolated worker replicas. Charges
+/// nothing to the session meter.
+pub fn exprs_are_isolated(interp: &Interp, env: EnvId, exprs: &[NodeId]) -> bool {
+    let Some(closure) = Closure::collect(interp, env, exprs) else {
+        return false;
+    };
+    let mut scope = Scope {
+        shadowed: closure.binders,
+        depth: 0,
+        closure: closure.bodies,
+    };
+    for k in 0..scope.closure.len() {
+        if !pure_rec(interp, env, scope.closure[k], &mut scope) {
+            return false;
+        }
+    }
+    // The expressions themselves evaluate outside every binder of the
+    // closure: their heads resolve in `env`.
+    scope.shadowed.clear();
+    exprs.iter().all(|&e| pure_rec(interp, env, e, &mut scope))
+}
+
+/// The function operand of a top-level `(||| n f …)` command when `f` is
+/// a symbol that resolves, in `env`, to a builtin or a user form: the
+/// value every job of the section applies. Literal lambdas and computed
+/// callables have no stable identity and return `None`.
+pub fn section_callee(interp: &Interp, env: EnvId, form: NodeId) -> Option<NodeId> {
+    let list = *interp.arena.get(form);
+    let Payload::List {
+        first: Some(head), ..
+    } = list.payload
+    else {
+        return None;
+    };
+    let count = interp.arena.get(head).next?;
+    let f = interp.arena.get(count).next?;
+    let Payload::Text(sid) = interp.arena.get(f).payload else {
+        return None;
+    };
+    if interp.arena.get(f).ty != NodeType::Symbol {
+        return None;
+    }
+    let v = lookup_quiet(interp, env, sid)?;
+    match interp.arena.get(v).ty {
+        NodeType::Function | NodeType::Form => Some(v),
+        _ => None,
+    }
+}
+
+/// How deep [`pure_rec`] recurses before refusing. Parsed commands nest
+/// at most `InterpConfig::max_depth` (512 by default) levels; built
+/// values can nest arbitrarily deep and are refused here rather than
+/// walked on the native stack.
+const MAX_WALK_DEPTH: usize = 1024;
+
+/// Nodes [`Closure::collect`] visits before refusing: the isolation
+/// check costs a bounded walk, not one proportional to the heap.
+const MAX_CLOSURE_NODES: usize = 4096;
+
+/// The walk state of one classification.
+#[derive(Debug, Default)]
+struct Scope {
+    /// Symbols rebound at runtime (loop variables, parameters): an
+    /// application through one of them is refused.
+    shadowed: Vec<StrId>,
+    /// Current [`pure_rec`] nesting.
+    depth: usize,
+    /// Bodies of the user forms an application may enter: empty for
+    /// [`expr_is_pure`], the collected closure for
+    /// [`exprs_are_isolated`].
+    closure: Vec<NodeId>,
+}
+
+/// Every user form reachable from a set of expressions through head
+/// positions, plus every name any of them binds at runtime.
+#[derive(Debug, Default)]
+struct Closure {
+    /// Form bodies, each once.
+    bodies: Vec<NodeId>,
+    /// Parameter names of the forms and of literal lambdas, and loop
+    /// variables of `dotimes`/`dolist`, anywhere in the closure.
+    binders: Vec<StrId>,
+}
+
+impl Closure {
+    /// Walks `roots` and every body reached from them on an explicit
+    /// stack. Head symbols resolve in `env`, as [`pure_rec`] resolves
+    /// them; a macro anywhere in head position, or a walk past
+    /// [`MAX_CLOSURE_NODES`], refuses the whole set (`None`).
+    fn collect(interp: &Interp, env: EnvId, roots: &[NodeId]) -> Option<Self> {
+        let mut closure = Self::default();
+        let mut stack = roots.to_vec();
+        let mut budget = MAX_CLOSURE_NODES;
+        while let Some(id) = stack.pop() {
+            budget = budget.checked_sub(1)?;
+            let n = *interp.arena.get(id);
+            let first = match (n.ty, n.payload) {
+                (
+                    NodeType::List | NodeType::Expression,
+                    Payload::List {
+                        first: Some(first), ..
+                    },
+                ) => first,
+                _ => continue,
+            };
+            let mut cur = Some(first);
+            while let Some(kid) = cur {
+                stack.push(kid);
+                cur = interp.arena.get(kid).next;
+            }
+            let h = *interp.arena.get(first);
+            let callee = match (h.ty, h.payload) {
+                (NodeType::Symbol, Payload::Text(sid)) => lookup_quiet(interp, env, sid),
+                (NodeType::Function | NodeType::Form | NodeType::Macro, _) => Some(first),
+                _ => None,
+            };
+            let Some(callee) = callee else {
+                continue;
+            };
+            let v = *interp.arena.get(callee);
+            match (v.ty, v.payload) {
+                (NodeType::Macro, _) => return None,
+                (NodeType::Form, Payload::Form { params, body })
+                    if !closure.bodies.contains(&body) =>
+                {
+                    closure.bodies.push(body);
+                    closure.bind_symbols(interp, Some(params));
+                    stack.push(body);
+                }
+                // (dotimes (var …) …), (dolist (var …) …), (lambda (params…) …)
+                (NodeType::Function, Payload::Builtin(b))
+                    if matches!(interp.builtins.name(b), "dotimes" | "dolist" | "lambda") =>
+                {
+                    closure.bind_symbols(interp, h.next);
+                }
+                _ => {}
+            }
+        }
+        Some(closure)
+    }
+
+    /// Records the symbols directly inside the list `list` as binders
+    /// (a parameter list, or a loop header whose first element is the
+    /// variable; the header's other elements are harmless extras).
+    fn bind_symbols(&mut self, interp: &Interp, list: Option<NodeId>) {
+        let Some(list) = list else {
+            return;
+        };
+        for kid in interp.arena.iter_list(list) {
+            let k = interp.arena.get(kid);
+            if let (NodeType::Symbol, Payload::Text(s)) = (k.ty, k.payload) {
+                self.binders.push(s);
+            }
+        }
+    }
 }
 
 /// `true` when `form` is a top-level `(sym …)` command whose head symbol
@@ -176,8 +371,12 @@ pub fn stageable_parallel_section(interp: &Interp, env: EnvId, form: NodeId) -> 
         (NodeType::Function, Payload::Builtin(b)) if interp.builtins.name(b) == "|||" => {}
         _ => return false,
     }
-    let mut shadowed = Vec::new();
-    siblings_pure(interp, env, interp.arena.get(first).next, &mut shadowed)
+    siblings_pure(
+        interp,
+        env,
+        interp.arena.get(first).next,
+        &mut Scope::default(),
+    )
 }
 
 /// Environment lookup against a scratch meter: classification must not
@@ -188,14 +387,9 @@ fn lookup_quiet(interp: &Interp, env: EnvId, sid: StrId) -> Option<NodeId> {
 }
 
 /// Walks a sibling chain, requiring every element pure.
-fn siblings_pure(
-    interp: &Interp,
-    env: EnvId,
-    mut cur: Option<NodeId>,
-    shadowed: &mut Vec<StrId>,
-) -> bool {
+fn siblings_pure(interp: &Interp, env: EnvId, mut cur: Option<NodeId>, scope: &mut Scope) -> bool {
     while let Some(id) = cur {
-        if !pure_rec(interp, env, id, shadowed) {
+        if !pure_rec(interp, env, id, scope) {
             return false;
         }
         cur = interp.arena.get(id).next;
@@ -203,7 +397,17 @@ fn siblings_pure(
     true
 }
 
-fn pure_rec(interp: &Interp, env: EnvId, expr: NodeId, shadowed: &mut Vec<StrId>) -> bool {
+fn pure_rec(interp: &Interp, env: EnvId, expr: NodeId, scope: &mut Scope) -> bool {
+    if scope.depth >= MAX_WALK_DEPTH {
+        return false;
+    }
+    scope.depth += 1;
+    let ok = node_is_pure(interp, env, expr, scope);
+    scope.depth -= 1;
+    ok
+}
+
+fn node_is_pure(interp: &Interp, env: EnvId, expr: NodeId, scope: &mut Scope) -> bool {
     let n = *interp.arena.get(expr);
     let first = match n.ty {
         // A bare symbol is a read-only lookup (or self-evaluation).
@@ -220,38 +424,46 @@ fn pure_rec(interp: &Interp, env: EnvId, expr: NodeId, shadowed: &mut Vec<StrId>
     };
     let rest = interp.arena.get(first).next;
     let head = *interp.arena.get(first);
-    match (head.ty, head.payload) {
+    let callee = match (head.ty, head.payload) {
         (NodeType::Symbol, Payload::Text(sid)) => {
-            if shadowed.contains(&sid) {
-                // An enclosing pure loop rebinds this symbol at runtime;
-                // the static lookup below cannot see what it will hold, so
-                // an application through it is not classifiable.
+            if scope.shadowed.contains(&sid) {
+                // A runtime binder (an enclosing pure loop, a parameter)
+                // rebinds this symbol; the static lookup below cannot see
+                // what it will hold, so an application through it is not
+                // classifiable.
                 return false;
             }
             match lookup_quiet(interp, env, sid) {
-                Some(v) => {
-                    let vn = *interp.arena.get(v);
-                    match (vn.ty, vn.payload) {
-                        (NodeType::Function, Payload::Builtin(b)) => {
-                            let name = interp.builtins.name(b);
-                            application_is_pure(interp, env, name, rest, shadowed)
-                        }
-                        // A Function without a builtin id is corrupt;
-                        // forms and macros run arbitrary user code.
-                        (NodeType::Function | NodeType::Form | NodeType::Macro, _) => false,
-                        // Head bound to a plain value: element-wise list
-                        // evaluation (the head's own lookup is pure).
-                        _ => siblings_pure(interp, env, rest, shadowed),
-                    }
-                }
+                Some(v) => v,
                 // Unbound head evaluates to itself: element-wise list.
-                None => siblings_pure(interp, env, rest, shadowed),
+                None => return siblings_pure(interp, env, rest, scope),
             }
         }
         // A computed head could evaluate to anything callable.
-        (NodeType::List | NodeType::Expression, _) => false,
+        (NodeType::List | NodeType::Expression, _) => return false,
+        // A function value already in head position (a built job, or a
+        // value spliced into code) self-evaluates and is applied as is.
+        (NodeType::Function | NodeType::Form | NodeType::Macro, _) => first,
         // Non-symbol atom head: element-wise list evaluation.
-        _ => siblings_pure(interp, env, rest, shadowed),
+        _ => return siblings_pure(interp, env, rest, scope),
+    };
+    let vn = *interp.arena.get(callee);
+    match (vn.ty, vn.payload) {
+        (NodeType::Function, Payload::Builtin(b)) => {
+            let name = interp.builtins.name(b);
+            application_is_pure(interp, env, name, rest, scope)
+        }
+        // A user form runs arbitrary code unless it belongs to the
+        // closure being checked; its arguments evaluate first.
+        (NodeType::Form, Payload::Form { body, .. }) if scope.closure.contains(&body) => {
+            siblings_pure(interp, env, rest, scope)
+        }
+        // A Function without a builtin id is corrupt; other forms and
+        // macros run arbitrary user code.
+        (NodeType::Function | NodeType::Form | NodeType::Macro, _) => false,
+        // Head bound to a plain value: element-wise list evaluation (the
+        // head's own lookup is pure).
+        _ => siblings_pure(interp, env, rest, scope),
     }
 }
 
@@ -264,7 +476,7 @@ fn application_is_pure(
     env: EnvId,
     name: &str,
     args: Option<NodeId>,
-    shadowed: &mut Vec<StrId>,
+    scope: &mut Scope,
 ) -> bool {
     match name {
         // (cond (test body…) …): each clause is a list whose elements
@@ -277,7 +489,7 @@ fn application_is_pure(
                     (NodeType::List, Payload::List { first, .. }) => first,
                     _ => return false, // malformed clause: barrier
                 };
-                if !siblings_pure(interp, env, kids, shadowed) {
+                if !siblings_pure(interp, env, kids, scope) {
                     return false;
                 }
                 cur = c.next;
@@ -308,12 +520,12 @@ fn application_is_pure(
             if interp.arena.get(source).next.is_some() {
                 return false; // more than (var source): barrier
             }
-            if !pure_rec(interp, env, source, shadowed) {
+            if !pure_rec(interp, env, source, scope) {
                 return false;
             }
-            shadowed.push(var);
-            let ok = siblings_pure(interp, env, h.next, shadowed);
-            shadowed.pop();
+            scope.shadowed.push(var);
+            let ok = siblings_pure(interp, env, h.next, scope);
+            scope.shadowed.pop();
             ok
         }
         // (mapcar fn list…) / (funcall fn arg…): the higher-order builtins
@@ -328,10 +540,10 @@ fn application_is_pure(
             let Some(fn_operand) = args else {
                 return false; // malformed: no function operand
             };
-            if !callable_operand_is_pure(interp, env, fn_operand, shadowed) {
+            if !callable_operand_is_pure(interp, env, fn_operand, scope) {
                 return false;
             }
-            siblings_pure(interp, env, interp.arena.get(fn_operand).next, shadowed)
+            siblings_pure(interp, env, interp.arena.get(fn_operand).next, scope)
         }
         // (quasiquote template): template structure expands by pure node
         // copying (exactly like `quote` plus allocation); only the holes
@@ -353,10 +565,10 @@ fn application_is_pure(
             if template_head_name(interp, template) == Some(b"unquote-splicing".as_slice()) {
                 return false;
             }
-            template_is_pure(interp, env, template, 1, shadowed)
+            template_is_pure(interp, env, template, 1, scope)
         }
         _ => match builtin_effect(name) {
-            BuiltinEffect::Pure => siblings_pure(interp, env, args, shadowed),
+            BuiltinEffect::Pure => siblings_pure(interp, env, args, scope),
             BuiltinEffect::PureUnevaluated => true,
             BuiltinEffect::Impure => false,
         },
@@ -370,16 +582,11 @@ fn application_is_pure(
 /// shadowed (they are runtime-bound, so applications *through* them are
 /// refused exactly like loop variables). Anything else — user forms,
 /// macros, unbound symbols, computed callables — is rejected.
-fn callable_operand_is_pure(
-    interp: &Interp,
-    env: EnvId,
-    f: NodeId,
-    shadowed: &mut Vec<StrId>,
-) -> bool {
+fn callable_operand_is_pure(interp: &Interp, env: EnvId, f: NodeId, scope: &mut Scope) -> bool {
     let n = *interp.arena.get(f);
     let first = match (n.ty, n.payload) {
         (NodeType::Symbol, Payload::Text(sid)) => {
-            if shadowed.contains(&sid) {
+            if scope.shadowed.contains(&sid) {
                 return false; // runtime-rebound: could hold anything
             }
             let Some(v) = lookup_quiet(interp, env, sid) else {
@@ -404,7 +611,7 @@ fn callable_operand_is_pure(
     // `lambda` builtin itself.
     let h = *interp.arena.get(first);
     match (h.ty, h.payload) {
-        (NodeType::Symbol, Payload::Text(sid)) if !shadowed.contains(&sid) => {
+        (NodeType::Symbol, Payload::Text(sid)) if !scope.shadowed.contains(&sid) => {
             let Some(v) = lookup_quiet(interp, env, sid) else {
                 return false;
             };
@@ -431,7 +638,7 @@ fn callable_operand_is_pure(
         let kn = *interp.arena.get(k);
         match (kn.ty, kn.payload) {
             (NodeType::Symbol, Payload::Text(s)) => {
-                shadowed.push(s);
+                scope.shadowed.push(s);
                 pushed += 1;
             }
             _ => {
@@ -441,8 +648,8 @@ fn callable_operand_is_pure(
         }
         cur = kn.next;
     }
-    let ok = params_ok && siblings_pure(interp, env, p.next, shadowed);
-    shadowed.truncate(shadowed.len() - pushed);
+    let ok = params_ok && siblings_pure(interp, env, p.next, scope);
+    scope.shadowed.truncate(scope.shadowed.len() - pushed);
     ok
 }
 
@@ -481,7 +688,7 @@ fn template_is_pure(
     env: EnvId,
     id: NodeId,
     level: u32,
-    shadowed: &mut Vec<StrId>,
+    scope: &mut Scope,
 ) -> bool {
     let n = *interp.arena.get(id);
     let first = match (n.ty, n.payload) {
@@ -504,18 +711,18 @@ fn template_is_pure(
             }
             if level == 1 {
                 // The hole fires: its expression evaluates for real.
-                pure_rec(interp, env, expr, shadowed)
+                pure_rec(interp, env, expr, scope)
             } else {
                 // Protected: kept as data, the hole re-expands one level
                 // shallower (the marker symbol itself is inert).
-                template_is_pure(interp, env, expr, level - 1, shadowed)
+                template_is_pure(interp, env, expr, level - 1, scope)
             }
         }
         // Nested backquote: children rebuild one level deeper (the
         // `quasiquote` marker symbol is inert; expansion applies no
         // arity check at nested positions, so none is applied here).
-        Some(b"quasiquote") => template_kids_pure(interp, env, h.next, level + 1, shadowed),
-        _ => template_kids_pure(interp, env, Some(first), level, shadowed),
+        Some(b"quasiquote") => template_kids_pure(interp, env, h.next, level + 1, scope),
+        _ => template_kids_pure(interp, env, Some(first), level, scope),
     }
 }
 
@@ -526,10 +733,10 @@ fn template_kids_pure(
     env: EnvId,
     mut cur: Option<NodeId>,
     level: u32,
-    shadowed: &mut Vec<StrId>,
+    scope: &mut Scope,
 ) -> bool {
     while let Some(id) = cur {
-        if !template_is_pure(interp, env, id, level, shadowed) {
+        if !template_is_pure(interp, env, id, level, scope) {
             return false;
         }
         cur = interp.arena.get(id).next;

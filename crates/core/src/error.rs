@@ -74,10 +74,24 @@ pub enum CuliError {
         requested: usize,
     },
     /// A worker failed; carries the worker index and the underlying error.
+    /// Build it with [`CuliError::in_worker`], which picks
+    /// [`CuliError::WorkerLimit`] instead when the job hit a resource cap.
     WorkerFailed {
         /// Which worker.
         worker: usize,
         /// What went wrong, pre-rendered (keeps the type `Sized` + cheap).
+        message: String,
+    },
+    /// A worker's job was aborted by its fuel budget or a resource cap.
+    /// Renders exactly like [`CuliError::WorkerFailed`]; `code` (always
+    /// [`ErrorCode::Fuel`] or [`ErrorCode::Limit`]) is the job's own
+    /// error code, so the abort classifies as it would on the master.
+    WorkerLimit {
+        /// Which worker.
+        worker: usize,
+        /// The job error's code.
+        code: ErrorCode,
+        /// What went wrong, pre-rendered.
         message: String,
     },
     /// Host-side file I/O failed (missing file, no host services attached).
@@ -170,8 +184,32 @@ impl CuliError {
             | Self::ParallelArgShort { .. }
             | Self::WorkerFailed { .. }
             | Self::Io(_) => ErrorCode::User,
+            Self::WorkerLimit { code, .. } => *code,
             Self::Backend(_) => ErrorCode::Device,
             Self::Internal(_) => ErrorCode::Internal,
+        }
+    }
+}
+
+impl CuliError {
+    /// The error a `|||` section reports when its job `worker` failed
+    /// with `inner`.
+    pub fn in_worker(worker: usize, inner: &CuliError) -> Self {
+        Self::from_worker(worker, inner.code(), inner.to_string())
+    }
+
+    /// [`CuliError::in_worker`] from a job error already reduced to its
+    /// code and rendered text (a worker seat reports these): a fuel or
+    /// limit code is kept, anything else is a plain
+    /// [`CuliError::WorkerFailed`].
+    pub fn from_worker(worker: usize, code: ErrorCode, message: String) -> Self {
+        match code {
+            ErrorCode::Fuel | ErrorCode::Limit => Self::WorkerLimit {
+                worker,
+                code,
+                message,
+            },
+            _ => Self::WorkerFailed { worker, message },
         }
     }
 }
@@ -228,7 +266,10 @@ impl fmt::Display for CuliError {
                     "||| argument list {arg_index} has {len} element(s) but {requested} workers were requested"
                 )
             }
-            Self::WorkerFailed { worker, message } => {
+            Self::WorkerFailed { worker, message }
+            | Self::WorkerLimit {
+                worker, message, ..
+            } => {
                 write!(f, "worker {worker} failed: {message}")
             }
             Self::Io(msg) => write!(f, "file i/o error: {msg}"),
@@ -307,6 +348,21 @@ mod tests {
                 message: String::new()
             }
             .code(),
+            ErrorCode::User
+        );
+        // A job's fuel or limit abort keeps its class through the
+        // worker wrapper, and renders exactly like any worker failure.
+        let limit = CuliError::RecursionLimit { limit: 512 };
+        let wrapped = CuliError::in_worker(1, &limit);
+        assert_eq!(wrapped.code(), ErrorCode::Limit);
+        assert_eq!(
+            wrapped.to_string(),
+            "worker 1 failed: recursion depth limit 512 exceeded"
+        );
+        let fuel = CuliError::FuelExhausted { budget: 9 };
+        assert_eq!(CuliError::in_worker(0, &fuel).code(), ErrorCode::Fuel);
+        assert_eq!(
+            CuliError::in_worker(0, &CuliError::DivByZero).code(),
             ErrorCode::User
         );
         assert_eq!(

@@ -83,10 +83,7 @@ impl ParallelHook for SequentialHook {
             // Paper §III-D b: each worker's subtree is rooted in an
             // environment whose parent is the |||-expression's environment.
             let env = interp.envs.push(Some(parent_env));
-            let value = eval(interp, self, job, env, 0).map_err(|e| CuliError::WorkerFailed {
-                worker: w,
-                message: e.to_string(),
-            })?;
+            let value = eval(interp, self, job, env, 0).map_err(|e| CuliError::in_worker(w, &e))?;
             results.push(value);
         }
         Ok(())

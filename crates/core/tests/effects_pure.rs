@@ -14,6 +14,15 @@
 //! calls, `eval`) at every nesting level; classified-impure cases are
 //! skipped (conservatism is allowed, unsoundness is not), and directed
 //! tests pin the constructs that must never classify pure.
+//!
+//! The isolation check (`effects::exprs_are_isolated`) gets the same
+//! treatment: generated, mutually calling user forms applied to
+//! generated arguments must leave the sync log and epoch untouched
+//! whenever the check admits them, and directed cases pin the closure
+//! rule's refusals (data-dependent effects, a callee head bound to a
+//! caller's parameter, macros, `|||`, `eval`, host I/O, job arguments
+//! that carry code) and admissions (pure builtins, recursion, mutual
+//! recursion).
 
 use culi_core::cost::Counters;
 use culi_core::eval::{eval, SequentialHook};
@@ -364,4 +373,256 @@ fn quasiquote_hole_level_tracking_pins() {
             "classified pure: {src}"
         );
     }
+}
+
+// --------------------------------------------------------------------
+// Isolation (`effects::exprs_are_isolated`): the closure rule that lets
+// a session run a `|||` section's jobs on the master.
+
+/// A generated body for the user forms of the isolation property: the
+/// purity generator's constructs plus calls between the forms (mutual
+/// recursion included), a call of the pure global form `plus`, and uses
+/// of the parameter `w` as a value and as a callee.
+#[derive(Debug, Clone)]
+enum Body {
+    Expr(Expr),
+    W,
+    CallW,
+    PlusW,
+    H1(Box<Body>),
+    H2(Box<Body>),
+    Plus(Box<Body>, Box<Body>),
+    If(Box<Body>, Box<Body>, Box<Body>),
+}
+
+fn render_body(b: &Body, out: &mut String) {
+    match b {
+        Body::Expr(e) => render(e, out),
+        Body::W => out.push('w'),
+        Body::CallW => out.push_str("(w 1)"),
+        Body::PlusW => out.push_str("(plus w 1)"),
+        Body::H1(a) | Body::H2(a) => {
+            out.push_str(if matches!(b, Body::H1(_)) {
+                "(h1 "
+            } else {
+                "(h2 "
+            });
+            render_body(a, out);
+            out.push(')');
+        }
+        Body::Plus(a, c) => {
+            out.push_str("(plus ");
+            render_body(a, out);
+            out.push(' ');
+            render_body(c, out);
+            out.push(')');
+        }
+        Body::If(c, t, f) => {
+            out.push_str("(if (< ");
+            render_body(c, out);
+            out.push_str(" 3) ");
+            render_body(t, out);
+            out.push(' ');
+            render_body(f, out);
+            out.push(')');
+        }
+    }
+}
+
+fn body() -> impl Strategy<Value = Body> {
+    let leaf = prop_oneof![
+        expr().prop_map(Body::Expr),
+        expr().prop_map(Body::Expr),
+        Just(Body::W),
+        Just(Body::CallW),
+        Just(Body::PlusW),
+    ];
+    leaf.prop_recursive(3, 24, 3, |inner| {
+        prop_oneof![
+            inner.clone().prop_map(|a| Body::H1(Box::new(a))),
+            inner.clone().prop_map(|a| Body::H2(Box::new(a))),
+            (inner.clone(), inner.clone()).prop_map(|(a, c)| Body::Plus(Box::new(a), Box::new(c))),
+            (inner.clone(), inner.clone(), inner.clone()).prop_map(|(c, t, f)| Body::If(
+                Box::new(c),
+                Box::new(t),
+                Box::new(f)
+            )),
+        ]
+    })
+}
+
+/// [`booted`] plus the pure global form `plus`, under a fuel budget so
+/// generated mutual recursion ends in a fuel error instead of running
+/// for ever.
+fn booted_forms() -> Interp {
+    let mut i = Interp::new(InterpConfig {
+        arena_capacity: 1 << 18,
+        fuel_budget: 20_000,
+        ..Default::default()
+    });
+    for line in [
+        "(setq g 7)",
+        "(setq xs (list 1 2 3))",
+        "(defun f (x) (progn (setq g (+ g x)) g))",
+        "(defun plus (a b) (+ a b))",
+        "(defun f2 (a b) (setq g (+ a b)))",
+    ] {
+        i.eval_str(line).unwrap();
+    }
+    i
+}
+
+fn isolated(i: &mut Interp, src: &str) -> bool {
+    let forms = culi_core::parser::parse(i, src.as_bytes()).unwrap();
+    effects::exprs_are_isolated(i, i.global, &forms)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Applying any callable the isolation check admits leaves the
+    /// persistent environment untouched: no sync-log growth and no epoch
+    /// bump, whatever the arguments and however the forms call each
+    /// other. `h3` rebinds `plus` for its callees, so an `h1` body
+    /// calling `(plus …)` under `(h3 f2)` would apply the mutating `f2`.
+    #[test]
+    fn isolated_applications_leave_persistent_state_alone(
+        b1 in body(),
+        b2 in body(),
+        arg in expr(),
+        job in 0u8..4,
+    ) {
+        let mut i = booted_forms();
+        let (mut s1, mut s2) = (String::new(), String::new());
+        render_body(&b1, &mut s1);
+        render_body(&b2, &mut s2);
+        for line in [
+            format!("(defun h1 (w) {s1})"),
+            format!("(defun h2 (w) {s2})"),
+            "(defun h3 (plus) (progn (h1 1) (h2 1)))".to_string(),
+        ] {
+            i.eval_str(&line).unwrap();
+        }
+        let mut a = String::new();
+        render(&arg, &mut a);
+        let src = match job {
+            0 => format!("(h1 {a})"),
+            1 => format!("(h2 {a})"),
+            2 => "(h3 f2)".to_string(),
+            _ => "(h3 plus)".to_string(),
+        };
+        let forms = culi_core::parser::parse(&mut i, src.as_bytes()).unwrap();
+        if !effects::exprs_are_isolated(&i, i.global, &forms) {
+            return Ok(()); // conservative refusal is always allowed
+        }
+        let epoch = i.envs.sync_epoch();
+        i.meter.arm_fuel(20_000);
+        let (_, _, log_growth) = run_once(&mut i, forms[0]);
+        prop_assert_eq!(log_growth, 0, "admitted job grew the sync log: {} / {} / {}", src, s1, s2);
+        prop_assert_eq!(i.envs.sync_epoch(), epoch, "admitted job moved the epoch: {}", src);
+    }
+}
+
+#[test]
+fn isolation_refuses_what_the_master_could_not_contain() {
+    let mut i = booted_forms();
+    for line in [
+        // Data-dependent effect: (dd 3) would not setq, but the check
+        // cannot know the argument.
+        "(defun dd (x) (if (> x 5) (setq g x) x))",
+        // Dynamic scoping: inside `a`, `b`'s `(plus …)` resolves to a's
+        // parameter, whatever the caller passes.
+        "(defun a (plus) (b 1))",
+        "(defun b (x) (plus x 1))",
+        "(defmacro m (x) x)",
+        "(defun usem (x) (m x))",
+        "(defun par (x) (||| 2 + (1 2) (3 4)))",
+        "(defun ev (x) (eval x))",
+        "(defun rf (x) (read-file \"data.txt\"))",
+    ] {
+        i.eval_str(line).unwrap();
+    }
+    for src in [
+        "(dd 3)",
+        "(a 1)",
+        "(a f)",
+        "(m 1)",
+        "(usem 1)",
+        "(par 1)",
+        "(ev 1)",
+        "(rf 1)",
+        "(f 1)",
+        "((lambda (x) (setq g x)) 1)",
+    ] {
+        assert!(!isolated(&mut i, src), "admitted: {src}");
+    }
+    // Called directly, `b`'s `plus` is the global pure form.
+    assert!(isolated(&mut i, "(b 1)"));
+}
+
+#[test]
+fn isolation_admits_pure_builtins_and_recursive_forms() {
+    let mut i = booted_forms();
+    for line in [
+        "(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))",
+        "(defun fibj (x) (fib (+ 5 (mod x 4))))",
+        "(defun ev? (n) (if (= n 0) T (od? (- n 1))))",
+        "(defun od? (n) (if (= n 0) nil (ev? (- n 1))))",
+    ] {
+        i.eval_str(line).unwrap();
+    }
+    for src in [
+        "(+ 1 2)",
+        "(plus 1 2)",
+        "(fibj 7)",
+        "(fib 10)",
+        "(ev? 10)",
+        "(plus (fib 3) (od? 4))",
+    ] {
+        assert!(isolated(&mut i, src), "refused: {src}");
+    }
+}
+
+/// The jobs a section builds re-evaluate their argument values, so the
+/// check runs on the built jobs: a pure operand can still deliver code.
+#[test]
+fn isolation_checks_built_jobs_including_their_argument_values() {
+    use culi_core::builtins::prepare_section;
+    let mut i = booted_forms();
+    i.eval_str("(defun fib (n) (if (< n 2) n (+ (fib (- n 1)) (fib (- n 2)))))")
+        .unwrap();
+    let jobs_of = |i: &mut Interp, src: &str| {
+        let form = culi_core::parser::parse(i, src.as_bytes()).unwrap()[0];
+        let args: Vec<_> = i.arena.iter_list(form).skip(1).collect();
+        let global = i.global;
+        prepare_section(i, &mut SequentialHook, &args, global, 0).unwrap()
+    };
+    let jobs = jobs_of(&mut i, "(||| 2 fib (5 6))");
+    assert!(effects::exprs_are_isolated(&i, i.global, &jobs));
+    let jobs = jobs_of(&mut i, "(||| 2 plus (1 2) (list g g))");
+    assert!(effects::exprs_are_isolated(&i, i.global, &jobs));
+    // `(list (quote (setq g 5)))` is a pure operand whose value is code:
+    // the job `(+ (setq g 5))` would run it.
+    let jobs = jobs_of(&mut i, "(||| 1 + (list (quote (setq g 5))))");
+    assert!(!effects::exprs_are_isolated(&i, i.global, &jobs));
+    // A user form's value in a job argument's head position is applied.
+    let jobs = jobs_of(&mut i, "(||| 1 + (list (list f 1)))");
+    assert!(!effects::exprs_are_isolated(&i, i.global, &jobs));
+    let jobs = jobs_of(&mut i, "(||| 1 + (list (list fib 3)))");
+    assert!(effects::exprs_are_isolated(&i, i.global, &jobs));
+}
+
+#[test]
+fn section_callee_names_only_symbol_callables() {
+    let mut i = booted_forms();
+    let callee = |i: &mut Interp, src: &str| {
+        let form = culi_core::parser::parse(i, src.as_bytes()).unwrap()[0];
+        effects::section_callee(i, i.global, form)
+    };
+    let plus = i.lookup_global(b"plus");
+    assert_eq!(callee(&mut i, "(||| 2 plus (1 2) (3 4))"), plus);
+    assert!(callee(&mut i, "(||| 2 + (1 2) (3 4))").is_some());
+    assert_eq!(callee(&mut i, "(||| 2 (lambda (x) x) (1 2))"), None);
+    assert_eq!(callee(&mut i, "(||| 2 g (1 2))"), None);
+    assert_eq!(callee(&mut i, "(||| 2 nosuch (1 2))"), None);
 }

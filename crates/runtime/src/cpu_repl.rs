@@ -31,17 +31,45 @@
 //! command runs like a `submit`. Replies, error text and per-command
 //! [`crate::CommandCounters`] are identical to a `submit` loop; the
 //! equivalence is property-tested.
+//!
+//! # Section placement
+//!
+//! A pool handoff costs tens of µs on a small host; many sections do far
+//! less work than that. So once a section is prepared, the batch path
+//! runs it **inline** on the master, instead of staging it, when two
+//! things hold:
+//!
+//! * its predicted job work is at most `INLINE_MAX_JOB_STEPS` paper-model
+//!   eval steps. The prediction is the job work of the last `Ok` section
+//!   that applied the same function value; an unseen function predicts
+//!   nothing and goes to the pool. Both routes feed the history, and
+//!   success counters are backend-independent, so a command stream
+//!   always takes the same routes. Wall clock never enters the decision;
+//! * [`culi_core::effects::exprs_are_isolated`] proves the built jobs
+//!   cannot mutate persistent state, do host I/O or open a nested `|||`:
+//!   a worker replica would isolate a job's `setq`, the master would not.
+//!
+//! The inline route is no new execution path: it is the `Reference`
+//! backend — `pool::run_jobs_sequential_reference`, the path
+//! [`CpuRepl::submit_reference`] and the scheduler's degradation
+//! fallback already pin byte-identical to the pool. Like a cache hit, an
+//! inline section answers `Verdict::Done` from classification, so it
+//! neither flushes nor drains the run being assembled.
+//! [`CpuRepl::section_routes`] counts both routes. `submit` always uses
+//! the pool.
 
 use crate::error::{Result, RuntimeError};
 use crate::phases::{counters_to_cycles, CommandCounters};
-use crate::pipeline::{Command, Evaluated, Modeled, Pipeline, Pooled, Reference};
+use crate::pipeline::{Backend, Command, Evaluated, Modeled, Pipeline, Pooled, Reference};
 use crate::pool::{ThreadedHook, WorkerPool};
 use crate::reply::Reply;
 use crate::scheduler::{BatchScheduler, ExecQueue, Verdict};
 use culi_core::cost::Counters;
+use culi_core::eval::ParallelHook;
 use culi_core::fault::FaultPlan;
 use culi_core::{ErrorCode, InterpConfig, NodeId};
 use culi_gpu_sim::{CpuMachine, DeviceSpec};
+use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 /// How `|||` sections execute.
@@ -102,6 +130,82 @@ pub struct CpuRepl {
     threaded: Option<ThreadedHook>,
     /// Reused per-job cycle scratch for the modeled backend.
     scratch_cycles: Vec<u64>,
+    /// Where `submit_batch` runs each stageable section.
+    placement: Placement,
+}
+
+/// Largest predicted job work, in paper-model eval steps summed over a
+/// section's jobs, that [`CpuRepl::submit_batch`] runs inline on the
+/// master instead of handing to the worker pool.
+///
+/// Measured on a 2-vCPU host (release build, 2-thread pool, 16-command
+/// batches, 400 interleaved inline/pooled pairs, medians; `(||| 2 fib
+/// (n n))`, µs per section):
+///
+/// | steps per section | 16 | 398 | 1,802 | 2,936 | 4,772 | 7,742 |
+/// |---|---|---|---|---|---|---|
+/// | split by `setq` barriers: inline / pooled | 5.7 / 27 | 14 / 38 | 48 / 76 | 83 / 109 | 134 / 158 | 209 / 196 |
+/// | 16 sections in one run: inline / pooled | 5.7 / 9.1 | 13 / 18 | 52 / 51 | 78 / 67 | 144 / 110 | 233 / 186 |
+///
+/// A section that shares no run with others pays the whole handoff and
+/// breaks even near 6,000 steps; a homogeneous run amortizes it and
+/// breaks even near 1,800. Placement cannot see the run a section will
+/// join, so the bound sits at the lower crossover: inline then never
+/// loses by more than noise, and wins most where barriers split runs.
+const INLINE_MAX_JOB_STEPS: u64 = 2_000;
+
+/// Most function values [`Placement`] remembers; past it the history
+/// starts over (deterministically, like everything that feeds a route).
+const PLACEMENT_HISTORY: usize = 1_024;
+
+/// How many stageable `|||` sections [`CpuRepl::submit_batch`] ran inline
+/// on the master and how many it handed to the worker pool. Sections of
+/// barrier commands and cache hits are not placed and count in neither.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SectionRoutes {
+    /// Sections run inline on the master.
+    pub inline: u64,
+    /// Sections staged on the worker pool.
+    pub pooled: u64,
+}
+
+/// The section placement rule: the last observed job work of a section
+/// per function value it applied. Every input is a paper-model counter
+/// of an `Ok` reply, and those are backend-independent, so a command
+/// stream always takes the same routes; wall clock never enters.
+#[derive(Debug, Default)]
+struct Placement {
+    /// Job eval steps of the last `Ok` section applying each function.
+    /// A redefinition is a new form node and starts without history (a
+    /// collected node's recycled slot may inherit a stale entry: that
+    /// misplaces one section, never changes a reply).
+    steps: HashMap<NodeId, u64>,
+    routes: SectionRoutes,
+}
+
+impl Placement {
+    /// `true` when the last section applying `callee` did at most
+    /// [`INLINE_MAX_JOB_STEPS`] of job work. An unseen function predicts
+    /// nothing, and goes to the pool.
+    fn predicts_inline(&self, callee: Option<NodeId>) -> bool {
+        callee
+            .and_then(|f| self.steps.get(&f))
+            .is_some_and(|&steps| steps <= INLINE_MAX_JOB_STEPS)
+    }
+
+    /// Records the job work of a section applying `callee`.
+    fn observe(&mut self, callee: Option<NodeId>, reply: &Reply) {
+        let Some(f) = callee else {
+            return;
+        };
+        if reply.code != ErrorCode::Ok {
+            return;
+        }
+        if self.steps.len() >= PLACEMENT_HISTORY && !self.steps.contains_key(&f) {
+            self.steps.clear();
+        }
+        self.steps.insert(f, reply.counters.jobs.eval_steps);
+    }
 }
 
 /// A pipelined command whose section is staged but not yet collected.
@@ -116,6 +220,35 @@ struct PendingCommand {
     /// Master-side eval counters spent staging (header eval, job build,
     /// encode-side dispatch).
     eval_stage: Counters,
+    /// The function value the section applies (see
+    /// [`culi_core::effects::section_callee`]).
+    callee: Option<NodeId>,
+}
+
+impl PendingCommand {
+    /// The command after its jobs ran: `value` is the section's result
+    /// list (or its error), `eval_master` the master's charges since
+    /// staging, `jobs` the jobs' own.
+    fn evaluated(
+        &self,
+        value: culi_core::Result<NodeId>,
+        eval_master: &Counters,
+        jobs: Counters,
+    ) -> Evaluated {
+        let mut master = self.eval_stage;
+        master.add(eval_master);
+        Evaluated {
+            value: value.map(Some),
+            counters: CommandCounters {
+                parse: self.parse,
+                eval_master: master,
+                jobs,
+                ..Default::default()
+            },
+            sections: Vec::new(),
+            wall_start: self.wall_start,
+        }
+    }
 }
 
 impl CpuRepl {
@@ -134,7 +267,14 @@ impl CpuRepl {
             machine: CpuMachine::launch(spec),
             threaded,
             scratch_cycles: Vec::new(),
+            placement: Placement::default(),
         }
+    }
+
+    /// How this session's `submit_batch` calls placed their stageable
+    /// sections so far.
+    pub fn section_routes(&self) -> SectionRoutes {
+        self.placement.routes
     }
 
     /// The device this session models.
@@ -263,8 +403,7 @@ impl CpuRepl {
             .collect_next(interp, &mut results)
             .and_then(|()| culi_core::builtins::finish_section(interp, &results));
         interp.put_node_buf(results);
-        let mut eval_master = cmd.eval_stage;
-        eval_master.add(&interp.meter.snapshot().delta_since(&m));
+        let eval_master = interp.meter.snapshot().delta_since(&m);
         let jobs = hook.take_job_counters();
         match finished {
             // Infrastructure failure (seat lost to a panic, hang, or
@@ -273,23 +412,38 @@ impl CpuRepl {
             // fallback instead of replying.
             Err(e) if e.code() == ErrorCode::Device => Err(RuntimeError::Lisp(e)),
             value => {
-                let evaluated = Evaluated {
-                    value: value.map(Some),
-                    counters: CommandCounters {
-                        parse: cmd.parse,
-                        eval_master,
-                        jobs,
-                        ..Default::default()
-                    },
-                    sections: Vec::new(),
-                    wall_start: cmd.wall_start,
-                };
+                let evaluated = cmd.evaluated(value, &eval_master, jobs);
                 let machine = &mut self.machine;
                 let overhead = machine.spec().command_overhead_cycles;
                 let mut backend = Pooled { hook, machine };
                 self.pipe.finish(&mut backend, evaluated, overhead)
             }
         }
+    }
+
+    /// Runs a prepared section's jobs inline on the master, through the
+    /// same sequential reference the scheduler degrades onto (so the
+    /// reply is byte-identical to the pooled one), and finishes it.
+    fn run_inline(&mut self, cmd: &PendingCommand, jobs: Vec<NodeId>) -> Result<Reply> {
+        let interp = &mut self.pipe.interp;
+        let overhead = self.machine.spec().command_overhead_cycles;
+        let mut backend = Reference::new(&mut self.machine);
+        let global = interp.global;
+        let mut results = interp.take_node_buf();
+        let m = interp.meter.snapshot();
+        let finished = backend
+            .execute(interp, &jobs, global, &mut results)
+            .and_then(|()| culi_core::builtins::finish_section(interp, &results));
+        interp.put_node_buf(results);
+        interp.put_node_buf(jobs);
+        let tally = backend.take_tally();
+        let eval_master = interp
+            .meter
+            .snapshot()
+            .delta_since(&m)
+            .delta_since(&tally.on_master);
+        let evaluated = cmd.evaluated(finished, &eval_master, tally.jobs);
+        self.pipe.finish(&mut backend, evaluated, overhead)
     }
 
     /// Stops the worker pool; returns total setup+teardown in ms.
@@ -356,6 +510,8 @@ impl<'i> ExecQueue<'i> for CpuRepl {
             Verdict::Done(reply) => return Ok(Verdict::Done(reply)),
         };
         let form = cmd.forms.as_ref().expect("staged commands parsed")[0];
+        let global = self.pipe.interp.global;
+        let callee = culi_core::effects::section_callee(&self.pipe.interp, global, form);
         // Same arming point as the synchronous path: the command's
         // master-side work runs under the session's fuel budget.
         self.pipe.arm_fuel();
@@ -377,16 +533,32 @@ impl<'i> ExecQueue<'i> for CpuRepl {
         let costs = self.machine.spec().costs;
         self.machine
             .serial_compute(counters_to_cycles(&costs, &cmd.parse))?;
+        let pending = PendingCommand {
+            slot,
+            wall_start: cmd.wall_start,
+            parse: cmd.parse,
+            eval_stage,
+            callee,
+        };
+        // Placement: a section predicted to cost less than the pool
+        // handoff, whose jobs provably cannot touch persistent state (a
+        // worker would isolate a job's `setq`; the master does not),
+        // runs inline now. Like a cache hit, it neither flushes nor
+        // drains the assembling run.
+        if self.placement.predicts_inline(callee)
+            && culi_core::effects::exprs_are_isolated(&self.pipe.interp, global, &jobs)
+        {
+            let rooted = self.pipe.batch_roots.pop();
+            debug_assert_eq!(rooted, Some(form), "classify roots the staged form last");
+            let reply = self.run_inline(&pending, jobs)?;
+            self.placement.routes.inline += 1;
+            self.placement.observe(callee, &reply);
+            self.pipe.store(slot, &reply);
+            return Ok(Verdict::Done(Box::new(reply)));
+        }
+        self.placement.routes.pooled += 1;
         self.pipe.batch_roots.extend_from_slice(&jobs);
-        Ok(Verdict::Stage(CpuStaged {
-            cmd: PendingCommand {
-                slot,
-                wall_start: cmd.wall_start,
-                parse: cmd.parse,
-                eval_stage,
-            },
-            jobs,
-        }))
+        Ok(Verdict::Stage(CpuStaged { cmd: pending, jobs }))
     }
 
     fn dispatch(&mut self, run: Vec<CpuStaged>) -> Result<CpuRun> {
@@ -408,9 +580,10 @@ impl<'i> ExecQueue<'i> for CpuRepl {
     fn collect(&mut self, run: CpuRun, replies: &mut [Option<Reply>]) -> Result<()> {
         let mut cmds = run.0.into_iter();
         while let Some(cmd) = cmds.next() {
-            let slot = cmd.slot;
+            let (slot, callee) = (cmd.slot, cmd.callee);
             match self.collect_staged(cmd) {
                 Ok(reply) => {
+                    self.placement.observe(callee, &reply);
                     self.pipe.store(slot, &reply);
                     replies[slot] = Some(reply);
                 }
@@ -733,8 +906,13 @@ mod tests {
             let expected: Vec<(&str, &str)> = commands.iter().copied().cycle().take(len).collect();
             let batch: Vec<&str> = expected.iter().map(|(command, _)| *command).collect();
             let clones = r.interp_mut().clone_count();
+            let pooled = r.section_routes().pooled;
             let replies = r.submit_batch(&batch).unwrap();
             assert_eq!(replies.len(), len);
+            assert!(
+                r.section_routes().pooled > pooled,
+                "{commands:?} must still reach the pool"
+            );
             for (k, (reply, (command, want))) in replies.iter().zip(&expected).enumerate() {
                 assert_eq!(reply.output, *want, "cmd {k}: {command}");
             }

@@ -43,7 +43,7 @@ pub mod session;
 pub mod vfs;
 
 pub use cache::{CacheConfig, CacheStats, CommandCache, TierStats};
-pub use cpu_repl::{CpuMode, CpuRepl, CpuReplConfig};
+pub use cpu_repl::{CpuMode, CpuRepl, CpuReplConfig, SectionRoutes};
 pub use error::{Result, RuntimeError};
 pub use gpu_repl::{GpuRepl, GpuReplConfig};
 pub use phases::{counters_to_cycles, CommandCounters, PhaseBreakdown};

@@ -147,10 +147,7 @@ impl<C: Clock> ParallelHook for Modeled<'_, C> {
                 Ok(v) => v,
                 Err(e) => {
                     *self.job_cycles = cycles;
-                    return Err(CuliError::WorkerFailed {
-                        worker: w,
-                        message: e.to_string(),
-                    });
+                    return Err(CuliError::in_worker(w, &e));
                 }
             };
             // A nested ||| inside this job already billed its own jobs;

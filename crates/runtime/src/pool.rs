@@ -53,6 +53,13 @@
 //! REPL layer (`culi_runtime::cpu_repl::CpuRepl::submit_batch`) keeps up
 //! to [`WorkerPool::PIPELINE_DEPTH`] sections in flight.
 //!
+//! Not every batch section comes here: the batch path places a section
+//! predicted to do less work than a handoff costs, and proven unable to
+//! touch persistent state, inline on the master through
+//! `run_jobs_sequential_reference` (see the `cpu_repl` module docs,
+//! *Section placement*). Sections of `submit`, of barrier commands and
+//! of every unseen or impure function still run here.
+//!
 //! Staging ahead is only sound while the master's persistent state is
 //! frozen: a staged packet describes the master *as of staging time*, and
 //! the recovery paths below re-encode against the current master. `stage`
@@ -289,8 +296,9 @@ struct SectionMsg {
     results: FlatTree,
     /// Worker-filled: results pushed per attempted section.
     section_results: Vec<u32>,
-    /// Worker-filled: first failing job per section, if any.
-    section_error: Vec<Option<(usize, String)>>,
+    /// Worker-filled: the section's error (naming its first failing
+    /// job), if any.
+    section_error: Vec<Option<CuliError>>,
     /// Worker-filled: paper-model charges of each section's jobs.
     section_counters: Vec<Counters>,
     /// Worker-filled: sections attempted (a mid-run dirty stop leaves
@@ -315,7 +323,7 @@ impl SectionMsg {
                 + self.section_first.capacity()
                 + self.section_results.capacity())
                 * 4
-            + self.section_error.capacity() * std::mem::size_of::<Option<(usize, String)>>()
+            + self.section_error.capacity() * std::mem::size_of::<Option<CuliError>>()
             + self.section_counters.capacity() * std::mem::size_of::<Counters>()
     }
 
@@ -686,10 +694,10 @@ fn run_msg(interp: &mut Interp, msg: &mut SectionMsg) -> MsgRun {
     if let Err(e) = synced {
         for s in msg.completed as usize..sections {
             msg.section_results.push(0);
-            msg.section_error.push(Some((
-                msg.section_first[s] as usize,
-                format!("worker sync failed: {e}"),
-            )));
+            msg.section_error.push(Some(CuliError::WorkerFailed {
+                worker: msg.section_first[s] as usize,
+                message: format!("worker sync failed: {e}"),
+            }));
             msg.section_counters.push(Counters::default());
         }
         msg.completed = sections as u32;
@@ -702,10 +710,10 @@ fn run_msg(interp: &mut Interp, msg: &mut SectionMsg) -> MsgRun {
         Err(e) => {
             for s in msg.completed as usize..sections {
                 msg.section_results.push(0);
-                msg.section_error.push(Some((
-                    msg.section_first[s] as usize,
-                    format!("worker chain rebuild failed: {e}"),
-                )));
+                msg.section_error.push(Some(CuliError::WorkerFailed {
+                    worker: msg.section_first[s] as usize,
+                    message: format!("worker chain rebuild failed: {e}"),
+                }));
                 msg.section_counters.push(Counters::default());
             }
             msg.completed = sections as u32;
@@ -725,14 +733,14 @@ fn run_msg(interp: &mut Interp, msg: &mut SectionMsg) -> MsgRun {
         // Synchronization itself appends to this fork's own log; only
         // growth *beyond* this point means a job mutated global state.
         let log_before = interp.envs.sync_log_len();
-        let mut error: Option<(usize, String)> = None;
+        let mut error: Option<CuliError> = None;
         let mut pushed = 0u32;
         let mut counters = Counters::default();
         for j in 0..njobs {
             let job = match msg.jobs.decode(job_at + j, interp) {
                 Ok(id) => id,
                 Err(e) => {
-                    error = Some((msg.section_first[s] as usize + j, e.to_string()));
+                    error = Some(CuliError::in_worker(msg.section_first[s] as usize + j, &e));
                     break;
                 }
             };
@@ -757,7 +765,7 @@ fn run_msg(interp: &mut Interp, msg: &mut SectionMsg) -> MsgRun {
                     pushed += 1;
                 }
                 Err(e) => {
-                    error = Some((msg.section_first[s] as usize + j, e.to_string()));
+                    error = Some(CuliError::in_worker(msg.section_first[s] as usize + j, &e));
                     break;
                 }
             }
@@ -1269,12 +1277,9 @@ impl WorkerPool {
                     if !seat_lost {
                         self.job_counters.add(&msg.section_counters[s]);
                     }
-                    if let Some((worker, message)) = &msg.section_error[s] {
+                    if let Some(error) = &msg.section_error[s] {
                         if first_error.is_none() {
-                            first_error = Some(CuliError::WorkerFailed {
-                                worker: *worker,
-                                message: message.clone(),
-                            });
+                            first_error = Some(error.clone());
                         }
                     } else if first_error.is_none() {
                         // Decoding results is postbox traffic, not
@@ -1338,7 +1343,9 @@ impl Drop for WorkerPool {
 /// fallbacks — [`ThreadedHook::execute`]'s on seat loss and the batch
 /// scheduler's sequential re-run — go through this, which is what keeps
 /// degraded replies byte-identical to the pool's (the pool test
-/// `job_counters_match_sequential_reference` pins the equivalence).
+/// `job_counters_match_sequential_reference` pins the equivalence). The
+/// batch path's inline placement of small isolated sections is this same
+/// path, taken on purpose.
 pub(crate) fn run_jobs_sequential_reference(
     interp: &mut Interp,
     jobs: &[NodeId],
@@ -1355,10 +1362,7 @@ pub(crate) fn run_jobs_sequential_reference(
         let before = interp.meter.snapshot();
         let outcome = eval(interp, &mut SequentialHook, job, env, 0);
         job_counters.add(&interp.meter.snapshot().delta_since(&before));
-        let value = outcome.map_err(|e| CuliError::WorkerFailed {
-            worker: w,
-            message: e.to_string(),
-        })?;
+        let value = outcome.map_err(|e| CuliError::in_worker(w, &e))?;
         results.push(value);
     }
     Ok(())
@@ -1781,10 +1785,7 @@ mod tests {
                 let before = interp.meter.snapshot();
                 let outcome = eval(interp, &mut SequentialHook, job, env, 0);
                 self.jobs.add(&interp.meter.snapshot().delta_since(&before));
-                let value = outcome.map_err(|e| CuliError::WorkerFailed {
-                    worker: w,
-                    message: e.to_string(),
-                })?;
+                let value = outcome.map_err(|e| CuliError::in_worker(w, &e))?;
                 results.push(value);
             }
             Ok(())
@@ -1920,8 +1921,10 @@ mod tests {
         let err = i
             .eval_str_with("(||| 2 spin (1 2))", &mut hook)
             .unwrap_err();
+        // The job's fuel abort keeps its class through the worker wrapper.
+        assert_eq!(err.code(), ErrorCode::Fuel);
         match err {
-            CuliError::WorkerFailed { message, .. } => {
+            CuliError::WorkerLimit { message, .. } => {
                 assert!(message.contains("fuel"), "{message}");
             }
             other => panic!("{other:?}"),

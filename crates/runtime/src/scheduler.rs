@@ -126,12 +126,15 @@ pub enum Verdict<S, B> {
     /// (non-stageable command, parse error, or stage-time error).
     Barrier(B),
     /// The command's reply is already known — a reply-cache hit
-    /// ([`crate::cache::CommandCache`]). The scheduler writes it straight
-    /// into the command's slot: no run, no barrier, no pipeline
-    /// interaction. Sound because queues only ever serve `Done` for
-    /// commands whose cached execution was classified pure against the
-    /// *current* env sync epoch, so neither the assembling run nor any
-    /// in-flight run can observe a difference. Boxed so the common
+    /// ([`crate::cache::CommandCache`]), or a small section the queue ran
+    /// inline during classification (the CPU queue's section placement,
+    /// see [`crate::cpu_repl`]). The scheduler writes it straight into
+    /// the command's slot: no run, no barrier, no pipeline interaction.
+    /// Sound because queues only ever serve `Done` for commands that
+    /// cannot move the env sync epoch — a cached execution classified
+    /// pure against the *current* epoch, or a section whose jobs were
+    /// proven isolated — so neither the assembling run nor any in-flight
+    /// run can observe a difference. Boxed so the common
     /// `Stage`/`Barrier` verdicts stay small.
     Done(Box<Reply>),
 }

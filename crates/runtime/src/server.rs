@@ -175,6 +175,12 @@ pub struct TenantStats {
     /// Times another tenant's section took the worker fleet over from
     /// this tenant.
     pub evictions: u64,
+    /// Warm-route sections run inline on the tenant's master
+    /// ([`crate::SectionRoutes::inline`]): they never borrow the fleet.
+    pub inline_sections: u64,
+    /// Warm-route sections staged on the fleet
+    /// ([`crate::SectionRoutes::pooled`]).
+    pub pooled_sections: u64,
     /// Largest single dispatch into the session (must stay within
     /// [`ServerConfig::max_inflight`]; the proptest suite asserts it).
     pub max_inflight_seen: usize,
@@ -407,7 +413,11 @@ impl SessionServer {
         } else if warm_route {
             let refs: Vec<&str> = cmds.iter().map(String::as_str).collect();
             let last_owner = self.fleet.as_ref().and_then(WorkerPool::owner);
+            let routes = t.session.section_routes();
             let batch = t.session.submit_batch_on(&mut self.fleet, idx, &refs);
+            let now = t.session.section_routes();
+            t.stats.inline_sections += now.inline - routes.inline;
+            t.stats.pooled_sections += now.pooled - routes.pooled;
             // The fleet moved here only if this batch ran a section.
             if self.fleet.as_ref().and_then(WorkerPool::owner) != last_owner {
                 switched_from = last_owner;
@@ -733,6 +743,42 @@ mod tests {
     }
 
     #[test]
+    fn a_runaway_inside_a_job_is_quarantined_like_one_on_the_master() {
+        // The same fuel-budgeted runaway, once on the master and once
+        // inside `|||` jobs, on the cold (sequential reference) and warm
+        // (fleet) routes: each abort answers `Fuel` and scores +2, so two
+        // of them reach the quarantine threshold either way.
+        for promote_after in [0, 1_000] {
+            for runaway in ["(spin 1)", "(||| 2 spin (1 2))"] {
+                let mut srv = small_server(ServerConfig {
+                    quarantine_threshold: 4,
+                    promote_after,
+                    ..Default::default()
+                });
+                let noisy = srv.admit(TenantSessionConfig {
+                    fuel_budget: 10_000,
+                    ..Default::default()
+                });
+                let spin = "(defun spin (x) (dotimes (k 100000000) (* k x)))";
+                assert!(srv.enqueue(noisy, spin).is_none());
+                srv.drain();
+                for _ in 0..2 {
+                    assert!(srv.enqueue(noisy, runaway).is_none());
+                }
+                for (_, r) in srv.drain() {
+                    assert_eq!(r.code, ErrorCode::Fuel, "{runaway}: {}", r.output);
+                }
+                let score = srv.server_stats().tenants[noisy.index()].failure_score;
+                assert_eq!(score, 4, "{runaway}, promote_after {promote_after}");
+                assert!(srv.enqueue(noisy, "(+ 2 3)").is_none());
+                let (_, r) = srv.drain().pop().unwrap();
+                assert_eq!(r.code, ErrorCode::Degraded, "{runaway}");
+                srv.shutdown();
+            }
+        }
+    }
+
+    #[test]
     fn refusal_heavy_round_leaves_deficit_intact() {
         // Regression: the deficit used to be decremented by
         // `replies.len()` including refusals, so a quarantine-rejected
@@ -795,8 +841,15 @@ mod tests {
                 for &id in &ids {
                     assert!(srv.enqueue(id, &stream(id.index())[k]).is_none());
                 }
-                for (id, r) in srv.pump_round() {
-                    if stream(0)[k].starts_with("(|||") {
+                let pooled = |srv: &SessionServer, t: usize| {
+                    srv.server_stats().tenants[t].stats.pooled_sections
+                };
+                let before: Vec<u64> = ids.iter().map(|id| pooled(&srv, id.index())).collect();
+                let round = srv.pump_round();
+                // Only sections staged on the fleet move it; a section
+                // placed inline on its tenant's master leaves it alone.
+                for (id, r) in round {
+                    if pooled(&srv, id.index()) > before[id.index()] {
                         served.push(id.index());
                     }
                     replies[id.index()].push(r);
@@ -816,9 +869,14 @@ mod tests {
             let stats = srv.server_stats();
             for (t, cfg) in cfgs.iter().enumerate() {
                 assert_matches_isolated(&replies[t], &stream(t), cfg);
-                // Each change of tenant between sections is an eviction.
+                // Each change of tenant between pooled sections is an
+                // eviction.
                 let evicted = served.windows(2).filter(|w| w[0] == t && w[1] != t);
                 assert_eq!(stats.tenants[t].stats.evictions, evicted.count() as u64);
+                // The repeated `f` section runs inline: its first run
+                // measured it below the handoff. The others are unseen.
+                assert_eq!(stats.tenants[t].stats.inline_sections, 1);
+                assert_eq!(stats.tenants[t].stats.pooled_sections, 3);
             }
             srv.shutdown();
         }

@@ -4,7 +4,7 @@
 //! submit a line, get a [`Reply`], shut down. The facade also carries the
 //! base-latency measurement used for paper Fig. 14.
 
-use crate::cpu_repl::{CpuMode, CpuRepl, CpuReplConfig};
+use crate::cpu_repl::{CpuMode, CpuRepl, CpuReplConfig, SectionRoutes};
 use crate::error::Result;
 use crate::gpu_repl::{GpuRepl, GpuReplConfig};
 use crate::pool::WorkerPool;
@@ -260,6 +260,16 @@ impl Session {
         match self {
             Self::Gpu(r) => r.submit_batch(inputs),
             Self::Cpu(r) => r.submit_batch_on(fleet, owner, inputs),
+        }
+    }
+
+    /// How [`Session::submit_batch`] placed this session's stageable
+    /// sections so far ([`CpuRepl::section_routes`]); zero for GPU and
+    /// modeled CPU sessions, which have no worker pool to avoid.
+    pub fn section_routes(&self) -> SectionRoutes {
+        match self {
+            Self::Gpu(_) => SectionRoutes::default(),
+            Self::Cpu(r) => r.section_routes(),
         }
     }
 

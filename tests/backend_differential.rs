@@ -10,7 +10,9 @@
 //! 2. **pooled** — the persistent worker pool, one rendezvous per
 //!    command (`submit` loop);
 //! 3. **pipelined** — the same pool driven through the shared
-//!    `BatchScheduler` (`submit_batch`);
+//!    `BatchScheduler` (`submit_batch`), where placement runs small,
+//!    provably isolated sections **inline** on the master and stages the
+//!    rest on the pool (both routes are asserted to occur);
 //! 4. **gpu×{1,2,4}** — the simulated-GPU session's batched command
 //!    buffers at one, two and four sharded devices (round-robined runs
 //!    must be bit-identical to the single-device path and to the
@@ -33,6 +35,7 @@ use culi::core::fault::{FaultKind, FaultPlan, FaultSite};
 use culi::core::{ErrorCode, InterpConfig};
 use culi::runtime::{
     CacheConfig, CommandCache, CpuMode, CpuRepl, CpuReplConfig, GpuRepl, GpuReplConfig, Reply,
+    SectionRoutes,
 };
 use culi::sim::device::{gtx1080, intel_e5_2620};
 use std::time::Duration;
@@ -225,7 +228,10 @@ fn gpu_repl_cached(cache: CommandCache) -> GpuRepl {
     )
 }
 
-fn check_program(seed: u64) {
+/// Runs one seeded program through every arm against the sequential
+/// reference; returns how the two threaded batch arms (pipelined and
+/// cached) placed their sections.
+fn check_program(seed: u64) -> SectionRoutes {
     let mut rng = Rng(seed);
     let len = 4 + rng.below(8) as usize;
     let commands: Vec<String> = (0..len).map(|_| command(&mut rng)).collect();
@@ -287,6 +293,11 @@ fn check_program(seed: u64) {
             compare_exact(&a, &replies[k], &tag(&format!("gpu x{devices}")));
         }
     }
+    let (p, c) = (pipelined.section_routes(), cached.section_routes());
+    SectionRoutes {
+        inline: p.inline + c.inline,
+        pooled: p.pooled + c.pooled,
+    }
 }
 
 fn compare_replies(reference: &Reply, got: &Reply, context: &str) {
@@ -336,6 +347,96 @@ fn check_chunk(chunk: u64) {
     for seed in (chunk * n / 4)..((chunk + 1) * n / 4) {
         check_program(seed);
     }
+}
+
+/// The threaded batch arms place sections both ways over the seeded
+/// stream — inline on the master and pooled — and every reply on either
+/// route matches the sequential reference (checked in
+/// [`check_program`]).
+#[test]
+fn differential_batches_take_inline_and_pooled_routes() {
+    let mut routes = SectionRoutes::default();
+    for seed in 0..8 {
+        let r = check_program(seed);
+        routes.inline += r.inline;
+        routes.pooled += r.pooled;
+    }
+    assert!(routes.inline > 0, "no section ran inline: {routes:?}");
+    assert!(routes.pooled > 0, "no section reached the pool: {routes:?}");
+}
+
+/// Routes are a pure function of the command stream: two fresh sessions
+/// fed the same batches place every section the same way and reply
+/// byte-identically.
+#[test]
+fn section_routes_replay_identically_for_a_stream() {
+    for seed in 0..8 {
+        let mut rng = Rng(seed);
+        let commands: Vec<String> = (0..24).map(|_| command(&mut rng)).collect();
+        let run = || {
+            let mut cpu = repl(CpuMode::Threaded { threads: 4 });
+            for line in PRELUDE {
+                cpu.submit(line).unwrap();
+            }
+            let mut trace = Vec::new();
+            let mut replies = Vec::new();
+            for batch in commands.chunks(4) {
+                let batch: Vec<&str> = batch.iter().map(String::as_str).collect();
+                replies.extend(cpu.submit_batch(&batch).unwrap());
+                trace.push(cpu.section_routes());
+            }
+            (trace, replies)
+        };
+        let (trace_a, replies_a) = run();
+        let (trace_b, replies_b) = run();
+        assert_eq!(trace_a, trace_b, "seed {seed}: routes diverged");
+        for (k, (a, b)) in replies_a.iter().zip(&replies_b).enumerate() {
+            compare_exact(a, b, &format!("seed {seed} cmd {k}: {}", commands[k]));
+            assert_eq!(a.code, b.code, "seed {seed} cmd {k}");
+        }
+    }
+}
+
+/// Batch-mode twin of the pool's
+/// `worker_global_mutation_does_not_leak_across_sections`: a callable
+/// that `setq`s a global never runs inline, however cheap, so its
+/// mutation stays on the isolated worker replicas; a pure callable in
+/// the same stream does run inline.
+#[test]
+fn impure_sections_stay_pooled_and_never_reach_the_master() {
+    let mut cpu = repl(CpuMode::Threaded { threads: 2 });
+    for line in [
+        "(setq total 100)",
+        "(defun bump (x) (progn (setq total (+ total x)) total))",
+        "(defun plus (a b) (+ a b))",
+    ] {
+        assert!(cpu.submit(line).unwrap().ok);
+    }
+    let batch = [
+        "(||| 2 bump (1 2))",
+        "total",
+        "(||| 2 plus (1 2) (3 4))",
+        "(||| 2 bump (5 6))",
+        "total",
+        "(||| 2 plus (5 6) (7 8))",
+    ];
+    for pass in 0..3 {
+        let replies = cpu.submit_batch(&batch).unwrap();
+        let outputs: Vec<&str> = replies.iter().map(|r| r.output.as_str()).collect();
+        assert_eq!(
+            outputs,
+            ["(101 102)", "100", "(4 6)", "(105 106)", "100", "(12 14)"],
+            "pass {pass}"
+        );
+    }
+    assert_eq!(cpu.submit("total").unwrap().output, "100");
+    let routes = cpu.section_routes();
+    // Every bump section reaches the pool. The first plus section is
+    // unseen, so it is pooled too; the `total` barrier collects it before
+    // the second one is placed, which then runs inline like every later
+    // plus section.
+    assert_eq!(routes.pooled, 6 + 1);
+    assert_eq!(routes.inline, 5);
 }
 
 #[test]

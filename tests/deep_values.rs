@@ -120,6 +120,29 @@ fn parallel_section_over_a_deep_value_matches_the_modeled_session() {
     threaded.shutdown();
 }
 
+/// A recursion limit hit inside a `|||` job keeps its class: the reply
+/// code is `Limit` on every backend and route, as it is for the same
+/// limit on the master, and the text still names the worker.
+#[test]
+fn a_limit_inside_a_job_is_reported_as_a_limit() {
+    for (name, mut session) in every_backend() {
+        build_deep(&mut session, "x", 100_000);
+        let deep = session.submit("(eval x)").unwrap();
+        assert_eq!(deep.code, ErrorCode::Limit, "{name}: {}", deep.output);
+        let want = "error: worker 0 failed: recursion depth limit 512 exceeded";
+        for route in ["submit", "submit_batch"] {
+            let reply = match route {
+                "submit" => session.submit("(||| 2 length (x y))").unwrap(),
+                _ => session.submit_batch(&["(||| 2 length (x y))"]).unwrap()[0].clone(),
+            };
+            assert!(!reply.ok, "{name} {route}");
+            assert_eq!(reply.code, ErrorCode::Limit, "{name} {route}");
+            assert_eq!(reply.output, want, "{name} {route}");
+        }
+        session.shutdown();
+    }
+}
+
 #[test]
 fn loop_lookups_cost_linear_env_probes() {
     let probes = |n: usize| {
